@@ -90,7 +90,7 @@ use rqfa_fixed::Q15;
 use rqfa_persist::{
     DurableCaseBase, FileStore, PersistError, PersistPolicy, RecoveryReport, Store, StoreSet,
 };
-use rqfa_telemetry::{clock::micros_between, monotonic, EventKind, MetricSource, Registry};
+use rqfa_telemetry::{monotonic, MetricSource, Registry};
 
 pub use error::ServiceError;
 pub use metrics::{ClassSnapshot, MetricsSnapshot, ServiceMetrics};
@@ -422,6 +422,33 @@ pub struct Job {
 }
 
 impl Job {
+    /// A job submitted at `now`, plus the receiver its reply arrives on.
+    /// Its effective deadline is computed here, once: the explicit
+    /// `deadline`, else the class budget from `budget_us` for a
+    /// sheddable class, else none.
+    pub(crate) fn new(
+        id: u64,
+        class: QosClass,
+        request: Request,
+        now: Instant,
+        deadline: Option<Duration>,
+        budget_us: &[Option<u64>; QosClass::COUNT],
+    ) -> (Job, mpsc::Receiver<Reply>) {
+        let budget = budget_us[class.index()]
+            .filter(|_| class.sheddable())
+            .map(Duration::from_micros);
+        let (reply_tx, rx) = mpsc::channel();
+        let job = Job {
+            id,
+            class,
+            request,
+            enqueued_at: now,
+            deadline: deadline.or(budget).map(|d| now + d),
+            reply_tx,
+        };
+        (job, rx)
+    }
+
     /// The id [`AllocationService::submit`] handed out.
     pub fn id(&self) -> u64 {
         self.id
@@ -486,10 +513,6 @@ pub struct AllocationService {
     metrics: Arc<ServiceMetrics>,
     next_id: AtomicU64,
     deadline_budget_us: [Option<u64>; QosClass::COUNT],
-    clock: SharedClock,
-    /// Trace timestamps are µs offsets from this instant (the moment the
-    /// service was built), so every shard's events share one timebase.
-    epoch: Instant,
 }
 
 impl AllocationService {
@@ -696,6 +719,9 @@ impl AllocationService {
     /// Spawns the workers over prepared shard stores.
     fn from_stores(stores: Vec<shard::ShardStore>, config: &ServiceConfig) -> AllocationService {
         let metrics = Arc::new(ServiceMetrics::default());
+        // Trace timestamps are µs offsets from this instant (the moment
+        // the service was built), so every shard's events share one
+        // timebase.
         let epoch = config.clock.now();
         let shards = stores
             .into_iter()
@@ -709,8 +735,6 @@ impl AllocationService {
             metrics,
             next_id: AtomicU64::new(0),
             deadline_budget_us: config.deadline_budget_us,
-            clock: Arc::clone(&config.clock),
-            epoch,
         }
     }
 
@@ -787,68 +811,10 @@ impl AllocationService {
         deadline: Option<Duration>,
     ) -> Ticket {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .class(class)
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, rx) = mpsc::channel();
         let shard = &self.shards[shard::route(request.type_id(), self.shards.len())];
-        let now = self.clock.now();
-        let at_us = micros_between(self.epoch, now);
-        let record = |request_id: u64, class: QosClass, kind: EventKind, arg: u64| {
-            if let Some(recorder) = &shard.recorder {
-                recorder.record(at_us, request_id, class.index() as u8, kind, arg);
-            }
-        };
-        record(id, class, EventKind::Submitted, 0);
-        let budget = if class.sheddable() {
-            self.deadline_budget_us[class.index()].map(Duration::from_micros)
-        } else {
-            None
-        };
-        let job = Job {
-            id,
-            class,
-            request,
-            enqueued_at: now,
-            deadline: deadline.or(budget).map(|d| now + d),
-            reply_tx,
-        };
-        match shard.queue.push(job) {
-            queue::Admission::Admitted => {
-                record(id, class, EventKind::Admitted, 0);
-            }
-            queue::Admission::Displaced(victim) => {
-                // The newcomer took the largest-slack resident's slot.
-                record(id, class, EventKind::Admitted, 0);
-                record(victim.id, victim.class, EventKind::Displaced, id);
-                record(victim.id, victim.class, EventKind::ShedQueueFull, 0);
-                self.metrics
-                    .class(victim.class)
-                    .shed_queue_full
-                    .fetch_add(1, Ordering::Relaxed);
-                let waited = micros_between(victim.enqueued_at, now);
-                victim.reply(Outcome::ShedQueueFull, waited, &self.metrics);
-            }
-            queue::Admission::Refused(job) => {
-                record(id, class, EventKind::Refused, 0);
-                record(id, class, EventKind::ShedQueueFull, 0);
-                self.metrics
-                    .class(class)
-                    .shed_queue_full
-                    .fetch_add(1, Ordering::Relaxed);
-                job.reply(Outcome::ShedQueueFull, 0, &self.metrics);
-            }
-            queue::Admission::Doomed { job, late_us } => {
-                record(id, class, EventKind::Refused, 0);
-                record(id, class, EventKind::ShedPredicted, late_us);
-                self.metrics
-                    .class(class)
-                    .shed_predicted
-                    .fetch_add(1, Ordering::Relaxed);
-                job.reply(Outcome::ShedPredicted { late_us }, 0, &self.metrics);
-            }
-        }
+        let rx = shard
+            .queue
+            .submit(id, class, request, deadline, &self.deadline_budget_us);
         Ticket { id, class, rx }
     }
 
@@ -857,12 +823,9 @@ impl AllocationService {
     /// the shard worker feeds it after a real dispatch. Lets harnesses
     /// under a frozen [`ManualClock`] (where measured batch durations
     /// are zero) warm the predictive-shedding and dynamic-margin
-    /// machinery from a cost model instead; a no-op on a shard without
-    /// an estimator.
+    /// machinery from a cost model instead.
     pub fn prime_service_estimate(&self, shard: usize, batch_us: u64, jobs: usize) {
-        if let Some(estimator) = self.shards[shard].queue.estimator() {
-            estimator.observe(batch_us, jobs);
-        }
+        self.shards[shard].queue.estimator().observe(batch_us, jobs);
     }
 
     /// Applies any [`CaseMutation`] on the shard owning its function
@@ -1082,18 +1045,10 @@ pub mod testkit {
         enqueued_at: Instant,
         deadline: Option<Instant>,
     ) -> (Job, mpsc::Receiver<Reply>) {
-        let (reply_tx, rx) = mpsc::channel();
-        (
-            Job {
-                id,
-                class,
-                request,
-                enqueued_at,
-                deadline,
-                reply_tx,
-            },
-            rx,
-        )
+        let no_budget = [None; QosClass::COUNT];
+        let (mut job, rx) = Job::new(id, class, request, enqueued_at, None, &no_budget);
+        job.deadline = deadline;
+        (job, rx)
     }
 }
 

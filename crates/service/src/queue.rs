@@ -39,15 +39,15 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use rqfa_core::QosClass;
+use rqfa_core::{QosClass, Request};
 use rqfa_telemetry::{clock::micros_between, monotonic, EventKind, FlightRecorder, SharedClock};
 
 use crate::metrics::ServiceMetrics;
 use crate::sched::{ArbiterMode, SchedMode, ServiceTimeEstimator, WeightedArbiter};
-use crate::Job;
+use crate::{Job, Outcome, Reply};
 
 /// A lane's sort key: explicit instants order chronologically, and the
 /// no-deadline sentinel orders after **every** instant (the derived
@@ -140,10 +140,10 @@ pub struct ClassQueue {
     recorder: Option<Arc<FlightRecorder>>,
     /// Zero point of trace timestamps.
     epoch: Instant,
-    /// Measured batch-service-time estimator shared with the shard
-    /// worker (`None` = no measurement: fixed margins, no deadline-aware
-    /// batch composition).
-    estimator: Option<Arc<ServiceTimeEstimator>>,
+    /// Measured batch-service-time estimator, fed by the shard worker.
+    /// While cold (never fed) it reports 0: fixed margins, no
+    /// deadline-aware batch composition, no predictive shedding.
+    estimator: ServiceTimeEstimator,
     /// Whether admission refuses deadlined sheddable jobs the estimator
     /// predicts cannot finish in time even if queued (see
     /// [`Admission::Doomed`]). Off by default.
@@ -182,7 +182,7 @@ impl ClassQueue {
             clock,
             recorder: None,
             epoch,
-            estimator: None,
+            estimator: ServiceTimeEstimator::new(),
             predictive_shed: false,
         }
     }
@@ -202,28 +202,22 @@ impl ClassQueue {
         self
     }
 
-    /// Attaches the shard's measured service-time estimator. With it the
-    /// queue (in EDF mode) sizes the [`ArbiterMode::DynamicPriority`]
-    /// urgency margin from live measurement
-    /// ([`ServiceTimeEstimator::margin_us`], falling back to the
-    /// configured fixed margin while cold) and stops filling a batch
-    /// when the estimator predicts the next pick would make an
-    /// already-picked job miss its effective deadline.
-    pub fn with_estimator(mut self, estimator: Arc<ServiceTimeEstimator>) -> ClassQueue {
-        self.estimator = Some(estimator);
-        self
-    }
-
-    /// Enables predictive shedding at admission (needs an estimator to
-    /// have any effect; a cold estimator predicts nothing).
+    /// Enables predictive shedding at admission (dormant while the
+    /// estimator is cold).
     pub fn with_predictive_shed(mut self, on: bool) -> ClassQueue {
         self.predictive_shed = on;
         self
     }
 
-    /// The shard's measured service-time estimator, if attached.
-    pub(crate) fn estimator(&self) -> Option<Arc<ServiceTimeEstimator>> {
-        self.estimator.clone()
+    /// The shard's measured service-time estimator. The worker feeds it
+    /// each batch's service time; with it the queue (in EDF mode) sizes
+    /// the [`ArbiterMode::DynamicPriority`] urgency margin from live
+    /// measurement ([`ServiceTimeEstimator::margin_us`], falling back to
+    /// the configured fixed margin while cold) and stops filling a
+    /// batch when the next pick would make an already-picked job miss
+    /// its effective deadline.
+    pub(crate) fn estimator(&self) -> &ServiceTimeEstimator {
+        &self.estimator
     }
 
     /// Predicted lateness (µs) of a deadlined sheddable job arriving
@@ -237,11 +231,10 @@ impl ClassQueue {
             return None;
         }
         let deadline = job.deadline?;
-        let estimator = self.estimator.as_ref()?;
-        if estimator.samples() == 0 {
+        if self.estimator.samples() == 0 {
             return None;
         }
-        let per_job = estimator.per_job_us();
+        let per_job = self.estimator.per_job_us();
         let predicted_us = per_job.checked_mul(queued as u64 + 1)?;
         let completes = now + Duration::from_micros(predicted_us);
         if completes > deadline {
@@ -257,6 +250,70 @@ impl ClassQueue {
             SchedMode::Fifo => SortKey::At(job.enqueued_at),
             SchedMode::Edf => job.deadline.map_or(SortKey::NoDeadline, SortKey::At),
         }
+    }
+
+    /// The service front end: admits request `id`, submitted now, and
+    /// returns the receiver its reply arrives on. Counts the request as
+    /// submitted, records its `Submitted` event and the admission
+    /// outcome (`Admitted`, `Displaced`, `Refused`, `ShedQueueFull`,
+    /// `ShedPredicted`), and answers at once whatever admission sheds: a
+    /// displaced resident, a refused newcomer or a doomed one. The live
+    /// service and the deterministic replay both submit through here.
+    pub(crate) fn submit(
+        &self,
+        id: u64,
+        class: QosClass,
+        request: Request,
+        deadline: Option<Duration>,
+        budget_us: &[Option<u64>; QosClass::COUNT],
+    ) -> mpsc::Receiver<Reply> {
+        self.metrics
+            .class(class)
+            .submitted
+            .fetch_add(1, Ordering::Relaxed);
+        let now = self.clock.now();
+        let at_us = micros_between(self.epoch, now);
+        let record = |request_id: u64, class: QosClass, kind: EventKind, arg: u64| {
+            if let Some(recorder) = &self.recorder {
+                recorder.record(at_us, request_id, class.index() as u8, kind, arg);
+            }
+        };
+        record(id, class, EventKind::Submitted, 0);
+        let (job, rx) = Job::new(id, class, request, now, deadline, budget_us);
+        let shed_queue_full = |class: QosClass| {
+            self.metrics
+                .class(class)
+                .shed_queue_full
+                .fetch_add(1, Ordering::Relaxed);
+        };
+        match self.push(job) {
+            Admission::Admitted => record(id, class, EventKind::Admitted, 0),
+            Admission::Displaced(victim) => {
+                // The newcomer took the largest-slack resident's slot.
+                record(id, class, EventKind::Admitted, 0);
+                record(victim.id, victim.class, EventKind::Displaced, id);
+                record(victim.id, victim.class, EventKind::ShedQueueFull, 0);
+                shed_queue_full(victim.class);
+                let waited = micros_between(victim.enqueued_at, now);
+                victim.reply(Outcome::ShedQueueFull, waited, &self.metrics);
+            }
+            Admission::Refused(job) => {
+                record(id, class, EventKind::Refused, 0);
+                record(id, class, EventKind::ShedQueueFull, 0);
+                shed_queue_full(class);
+                job.reply(Outcome::ShedQueueFull, 0, &self.metrics);
+            }
+            Admission::Doomed { job, late_us } => {
+                record(id, class, EventKind::Refused, 0);
+                record(id, class, EventKind::ShedPredicted, late_us);
+                self.metrics
+                    .class(class)
+                    .shed_predicted
+                    .fetch_add(1, Ordering::Relaxed);
+                job.reply(Outcome::ShedPredicted { late_us }, 0, &self.metrics);
+            }
+        }
+        rx
     }
 
     /// Enqueues a job. See [`Admission`] for the three outcomes; the
@@ -326,17 +383,15 @@ impl ClassQueue {
         // estimator is written only by this shard's worker — the thread
         // running this very loop — so both reads are stable across the
         // whole fill.
-        let margin = match (&self.estimator, inner.arbiter.mode()) {
-            (Some(est), ArbiterMode::DynamicPriority) => Duration::from_micros(
-                est.margin_us(self.promotion_margin.as_micros() as u64),
+        let margin = match inner.arbiter.mode() {
+            ArbiterMode::DynamicPriority => Duration::from_micros(
+                self.estimator
+                    .margin_us(self.promotion_margin.as_micros() as u64),
             ),
             _ => self.promotion_margin,
         };
         self.metrics.sched_margin_us.set(margin.as_micros() as u64);
-        let per_job_us = self
-            .estimator
-            .as_deref()
-            .map_or(0, ServiceTimeEstimator::per_job_us);
+        let per_job_us = self.estimator.per_job_us();
         // Tightest effective deadline among jobs already picked — the
         // deadline-aware composition bound.
         let mut tightest: Option<Instant> = None;
@@ -746,25 +801,22 @@ mod tests {
         assert_eq!(metrics2.class(QosClass::Low).promoted.load(Ordering::Relaxed), 1);
     }
 
+    /// An EDF queue on `clock` whose estimator has seen one batch of
+    /// `batch_us` µs over `jobs` jobs (`jobs == 0` leaves it cold).
+    fn estimated_queue(clock: &SharedClock, batch_us: u64, jobs: usize) -> ClassQueue {
+        let q = queue(64).with_telemetry(Arc::clone(clock), None, clock.now());
+        q.estimator().observe(batch_us, jobs);
+        q
+    }
+
     #[test]
     fn estimator_caps_the_batch_at_the_tightest_picked_deadline() {
         // 50 µs estimated per job against a 100 µs deadline: two picks
         // fit, a third would turn job 0 from meeting its deadline into
         // missing it, so the fill stops at 2 of max 8.
-        let manual = Arc::new(rqfa_telemetry::ManualClock::new());
-        let clock: SharedClock = Arc::clone(&manual) as SharedClock;
+        let clock: SharedClock = Arc::new(rqfa_telemetry::ManualClock::new());
         let base = clock.now();
-        let estimator = Arc::new(ServiceTimeEstimator::new());
-        estimator.observe(100, 2);
-        let q = ClassQueue::new(
-            64,
-            WeightedArbiter::new(),
-            SchedMode::Edf,
-            0,
-            Arc::new(ServiceMetrics::default()),
-        )
-        .with_telemetry(Arc::clone(&clock), None, base)
-        .with_estimator(estimator);
+        let q = estimated_queue(&clock, 100, 2);
         push_ok(&q, deadline_job(0, QosClass::High, base, 100));
         for id in 1..8 {
             push_ok(&q, job(id, QosClass::High));
@@ -780,20 +832,9 @@ mod tests {
         // 100 µs estimated per job against a 50 µs deadline: job 0 is
         // late after its own service time alone. Capping the batch
         // cannot unmiss it, so the fill must keep going to max.
-        let manual = Arc::new(rqfa_telemetry::ManualClock::new());
-        let clock: SharedClock = Arc::clone(&manual) as SharedClock;
+        let clock: SharedClock = Arc::new(rqfa_telemetry::ManualClock::new());
         let base = clock.now();
-        let estimator = Arc::new(ServiceTimeEstimator::new());
-        estimator.observe(100, 1);
-        let q = ClassQueue::new(
-            64,
-            WeightedArbiter::new(),
-            SchedMode::Edf,
-            0,
-            Arc::new(ServiceMetrics::default()),
-        )
-        .with_telemetry(Arc::clone(&clock), None, base)
-        .with_estimator(estimator);
+        let q = estimated_queue(&clock, 100, 1);
         push_ok(&q, deadline_job(0, QosClass::High, base, 50));
         for id in 1..8 {
             push_ok(&q, job(id, QosClass::High));
@@ -805,21 +846,9 @@ mod tests {
     fn predictive_shedding_dooms_only_the_truly_doomed() {
         // 100 µs estimated per job. Five jobs already queued, so a
         // newcomer completes at ~(5+1)×100 = 600 µs.
-        let manual = Arc::new(rqfa_telemetry::ManualClock::new());
-        let clock: SharedClock = Arc::clone(&manual) as SharedClock;
+        let clock: SharedClock = Arc::new(rqfa_telemetry::ManualClock::new());
         let base = clock.now();
-        let estimator = Arc::new(ServiceTimeEstimator::new());
-        estimator.observe(100, 1);
-        let q = ClassQueue::new(
-            64,
-            WeightedArbiter::new(),
-            SchedMode::Edf,
-            0,
-            Arc::new(ServiceMetrics::default()),
-        )
-        .with_telemetry(Arc::clone(&clock), None, base)
-        .with_estimator(estimator)
-        .with_predictive_shed(true);
+        let q = estimated_queue(&clock, 100, 1).with_predictive_shed(true);
         for id in 0..5 {
             push_ok(&q, job(id, QosClass::Low));
         }
@@ -841,36 +870,16 @@ mod tests {
 
     #[test]
     fn predictive_shedding_stays_dormant_when_cold_or_disabled() {
-        let manual = Arc::new(rqfa_telemetry::ManualClock::new());
-        let clock: SharedClock = Arc::clone(&manual) as SharedClock;
+        let clock: SharedClock = Arc::new(rqfa_telemetry::ManualClock::new());
         let base = clock.now();
         // Cold estimator (no samples): admit even hopeless deadlines.
-        let cold = ClassQueue::new(
-            64,
-            WeightedArbiter::new(),
-            SchedMode::Edf,
-            0,
-            Arc::new(ServiceMetrics::default()),
-        )
-        .with_telemetry(Arc::clone(&clock), None, base)
-        .with_estimator(Arc::new(ServiceTimeEstimator::new()))
-        .with_predictive_shed(true);
+        let cold = estimated_queue(&clock, 0, 0).with_predictive_shed(true);
         for id in 0..5 {
             push_ok(&cold, job(id, QosClass::Low));
         }
         push_ok(&cold, deadline_job(10, QosClass::Low, base, 1));
         // Feature off: a warm estimator must not shed either.
-        let estimator = Arc::new(ServiceTimeEstimator::new());
-        estimator.observe(100, 1);
-        let off = ClassQueue::new(
-            64,
-            WeightedArbiter::new(),
-            SchedMode::Edf,
-            0,
-            Arc::new(ServiceMetrics::default()),
-        )
-        .with_telemetry(Arc::clone(&clock), None, base)
-        .with_estimator(estimator);
+        let off = estimated_queue(&clock, 100, 1);
         for id in 0..5 {
             push_ok(&off, job(id, QosClass::Low));
         }

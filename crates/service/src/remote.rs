@@ -155,6 +155,7 @@ pub struct NodeServer {
     /// Highest mutation epoch this node has ever seen (the fence).
     fence: Arc<AtomicU64>,
     accept_thread: Option<JoinHandle<()>>,
+    /// Threads of the connections still open at the last accept.
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -203,10 +204,20 @@ impl NodeServer {
                     let fence = Arc::clone(&accept_fence);
                     let handle =
                         std::thread::spawn(move || serve_connection(&service, stream, &flag, &fence));
-                    accept_threads
+                    let mut threads = accept_threads
                         .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(handle);
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    // Reap closed connections, so a client that keeps
+                    // reconnecting cannot grow the list: it holds live
+                    // connections only.
+                    let (closed, open): (Vec<_>, Vec<_>) = std::mem::take(&mut *threads)
+                        .into_iter()
+                        .partition(JoinHandle::is_finished);
+                    for thread in closed {
+                        let _ = thread.join(); // finished: returns at once
+                    }
+                    *threads = open;
+                    threads.push(handle);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(1));
@@ -1263,6 +1274,65 @@ mod tests {
         assert!(again.error.is_some());
         assert!(remote.stats().retries.load(Ordering::Relaxed) >= 1);
         assert_eq!(service.shard_generation(0).raw(), 1);
+        server.shutdown();
+        if let Some(service) = Arc::into_inner(service) {
+            service.shutdown();
+        }
+    }
+
+    #[test]
+    fn connection_threads_stay_bounded_by_live_connections() {
+        // Each accept reaps the connections closed before it, so after a
+        // connect/disconnect storm only live connections stay tracked.
+        let service = Arc::new(
+            AllocationService::new(&paper::table1_case_base(), &crate::ServiceConfig::default())
+                .expect("valid service config"),
+        );
+        let server = NodeServer::spawn(Arc::clone(&service)).unwrap();
+        let tracked = || {
+            server
+                .conn_threads
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .len()
+        };
+        let connect = || std::net::TcpStream::connect(server.addr()).unwrap();
+        // A probe's full round trip proves the server accepted it, and so
+        // every connection queued before it; its accept reaps every
+        // connection already closed, leaving the live ones plus the probe.
+        let probe = || {
+            let remote = RemoteShard::tcp(
+                server.addr(),
+                Duration::from_millis(500),
+                RetryPolicy::loopback(),
+            );
+            let submit = rqfa_net::Submit {
+                id: 0,
+                class: QosClass::High,
+                deadline_us: None,
+                request: paper::table1_request().unwrap(),
+            };
+            remote.call_submit(submit).expect("probe answered");
+        };
+        let live = [connect(), connect()];
+        for _ in 0..64 {
+            drop(connect());
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            probe();
+            std::thread::sleep(Duration::from_millis(20));
+            if tracked() <= live.len() + 1 || std::time::Instant::now() > deadline {
+                break;
+            }
+        }
+        assert!(
+            tracked() <= live.len() + 1,
+            "{} connection threads tracked for {} live connections",
+            tracked(),
+            live.len()
+        );
+        drop(live);
         server.shutdown();
         if let Some(service) = Arc::into_inner(service) {
             service.shutdown();

@@ -6,11 +6,15 @@
 //! latency histograms. That is correct for production and useless for a
 //! regression trajectory. [`TraceDriver`] removes exactly the two sources
 //! of nondeterminism — threads and the wall clock — and keeps everything
-//! else: arrivals go through the real [`ClassQueue`] (same admission
-//! limits, displacement, EDF lanes, weighted arbiter, promotions) and
-//! batches run through the real worker batch path (same coalescing,
-//! cache, plane kernel, metrics commit), all under a [`ManualClock`]
-//! driven by a single-threaded discrete-event loop.
+//! else. Each shard is built by the service's own shard assembly, and
+//! arrivals enter through the service's own admission front end on the
+//! real [`ClassQueue`] (same admission limits, displacement, predictive
+//! shedding, EDF lanes, weighted arbiter, promotions), so every
+//! [`ServiceConfig`] knob acts here as it does live. Batches run
+//! through the real worker batch path (same coalescing, cache, plane
+//! kernel, metrics commit), all under a [`ManualClock`] driven by a
+//! single-threaded discrete-event loop. All shards share one flight
+//! recorder, so the trace keeps the global order of events.
 //!
 //! ## Event model
 //!
@@ -33,14 +37,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rqfa_core::{CaseBase, QosClass, Request};
-use rqfa_telemetry::{EventKind, FlightRecorder, ManualClock, SharedClock, TraceDump};
+use rqfa_telemetry::{FlightRecorder, ManualClock, SharedClock, TraceDump};
 
-use crate::cache::RetrievalCache;
 use crate::metrics::ServiceMetrics;
-use crate::queue::{Admission, ClassQueue};
-use crate::sched::ServiceTimeEstimator;
+use crate::queue::ClassQueue;
 use crate::shard::{self, ShardStore, WorkerContext};
-use crate::{Job, MetricsSnapshot, Outcome, Reply, ServiceConfig};
+use crate::{MetricsSnapshot, Reply, ServiceConfig};
 
 /// Deterministic service-time model of one dispatched batch.
 #[derive(Debug, Clone, Copy)]
@@ -94,14 +96,14 @@ pub struct TraceReport {
     pub trace: TraceDump,
 }
 
-/// One replayed shard: real queue, real worker context, a free-at stamp,
-/// and the shard's service-time estimator (fed from the cost model, so
-/// the adaptive scheduler modes close their loop deterministically).
+/// One replayed shard: real queue, real worker context and a free-at
+/// stamp. The queue's service-time estimator is fed from the cost
+/// model, so the adaptive scheduler modes close their loop
+/// deterministically.
 struct ReplayShard {
     queue: ClassQueue,
     store: ShardStore,
     ctx: WorkerContext,
-    estimator: Arc<ServiceTimeEstimator>,
     free_at_us: u64,
 }
 
@@ -142,33 +144,20 @@ impl TraceDriver {
         let mut shards: Vec<ReplayShard> = shard::partition(&self.case_base, self.config.shards)
             .into_iter()
             .map(|slice| {
-                let store = match slice {
-                    Some(cb) => ShardStore::Ephemeral(cb),
-                    None => ShardStore::Empty,
-                };
-                let estimator = Arc::new(ServiceTimeEstimator::new());
-                let queue = ClassQueue::new(
-                    self.config.queue_capacity,
-                    self.config.arbiter(),
-                    self.config.scheduling,
-                    self.config.promotion_margin_us,
+                let (queue, ctx) = shard::assemble(
+                    &self.config,
                     Arc::clone(&metrics),
-                )
-                .with_telemetry(Arc::clone(&shared), Some(Arc::clone(&recorder)), epoch)
-                .with_estimator(Arc::clone(&estimator));
-                let cache = RetrievalCache::with_policy(
-                    self.config.cache_capacity,
-                    self.config.cache_policy,
-                    self.config.cache_admission,
+                    Arc::clone(&shared),
+                    Some(Arc::clone(&recorder)),
+                    epoch,
                 );
-                let ctx = WorkerContext::new(cache)
-                    .with_kernel(self.config.kernel_path)
-                    .with_telemetry(Arc::clone(&shared), Some(Arc::clone(&recorder)), epoch);
                 ReplayShard {
                     queue,
-                    store,
+                    store: match slice {
+                        Some(cb) => ShardStore::Ephemeral(cb),
+                        None => ShardStore::Empty,
+                    },
                     ctx,
-                    estimator,
                     free_at_us: 0,
                 }
             })
@@ -203,7 +192,15 @@ impl TraceDriver {
                 if arrivals[i].at_us > t {
                     break;
                 }
-                receivers.push(self.submit(&shards, &metrics, &recorder, &shared, epoch, i as u64, &arrivals[i]));
+                let arrival = &arrivals[i];
+                let shard = &shards[shard::route(arrival.request.type_id(), shards.len())];
+                receivers.push(shard.queue.submit(
+                    i as u64,
+                    arrival.class,
+                    arrival.request.clone(),
+                    arrival.deadline_us.map(Duration::from_micros),
+                    &self.config.deadline_budget_us,
+                ));
                 next += 1;
             }
 
@@ -224,7 +221,7 @@ impl TraceDriver {
                 // batch; here the cost model *is* the truth, so the
                 // estimator sees exactly what the event loop charges —
                 // the adaptive modes replay bit-identically.
-                shard.estimator.observe(batch_us, served);
+                shard.queue.estimator().observe(batch_us, served);
                 shard.free_at_us = t + batch_us;
             }
         }
@@ -240,90 +237,14 @@ impl TraceDriver {
             trace: recorder.drain(),
         }
     }
-
-    /// The front-end half of the live service's `submit_inner`, inline:
-    /// same metrics, same admission handling, same trace events.
-    #[allow(clippy::too_many_arguments)]
-    fn submit(
-        &self,
-        shards: &[ReplayShard],
-        metrics: &ServiceMetrics,
-        recorder: &FlightRecorder,
-        clock: &SharedClock,
-        epoch: std::time::Instant,
-        id: u64,
-        arrival: &TraceArrival,
-    ) -> mpsc::Receiver<Reply> {
-        let class = arrival.class;
-        metrics.class(class).submitted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let (reply_tx, rx) = mpsc::channel();
-        let shard = &shards[shard::route(arrival.request.type_id(), shards.len())];
-        let now = clock.now();
-        let at_us = rqfa_telemetry::clock::micros_between(epoch, now);
-        let record = |request_id: u64, class: QosClass, kind: EventKind, arg: u64| {
-            recorder.record(at_us, request_id, class.index() as u8, kind, arg);
-        };
-        record(id, class, EventKind::Submitted, 0);
-        let budget = if class.sheddable() {
-            self.config.deadline_budget_us[class.index()].map(Duration::from_micros)
-        } else {
-            None
-        };
-        let deadline = arrival
-            .deadline_us
-            .map(Duration::from_micros)
-            .or(budget)
-            .map(|d| now + d);
-        let job = Job {
-            id,
-            class,
-            request: arrival.request.clone(),
-            enqueued_at: now,
-            deadline,
-            reply_tx,
-        };
-        match shard.queue.push(job) {
-            Admission::Admitted => {
-                record(id, class, EventKind::Admitted, 0);
-            }
-            Admission::Displaced(victim) => {
-                record(id, class, EventKind::Admitted, 0);
-                record(victim.id, victim.class, EventKind::Displaced, id);
-                record(victim.id, victim.class, EventKind::ShedQueueFull, 0);
-                metrics
-                    .class(victim.class)
-                    .shed_queue_full
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let waited = rqfa_telemetry::clock::micros_between(victim.enqueued_at, now);
-                victim.reply(Outcome::ShedQueueFull, waited, metrics);
-            }
-            Admission::Refused(job) => {
-                record(id, class, EventKind::Refused, 0);
-                record(id, class, EventKind::ShedQueueFull, 0);
-                metrics
-                    .class(class)
-                    .shed_queue_full
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                job.reply(Outcome::ShedQueueFull, 0, metrics);
-            }
-            Admission::Doomed { job, late_us } => {
-                record(id, class, EventKind::Refused, 0);
-                record(id, class, EventKind::ShedPredicted, late_us);
-                metrics
-                    .class(class)
-                    .shed_predicted
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                job.reply(Outcome::ShedPredicted { late_us }, 0, metrics);
-            }
-        }
-        rx
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Outcome;
     use rqfa_core::paper;
+    use rqfa_telemetry::EventKind;
 
     fn arrivals(n: u64, gap_us: u64) -> Vec<TraceArrival> {
         (0..n)
@@ -422,5 +343,49 @@ mod tests {
         let report = driver.run(&trace);
         assert_eq!(report.replies[1].outcome, Outcome::ShedDeadline);
         assert_eq!(report.metrics.class(QosClass::Low).shed_deadline, 1);
+    }
+
+    #[test]
+    fn predictive_shedding_replays_like_the_live_service() {
+        // The replay admits through the service's own front end, so
+        // predictive shedding applies as it does live. One shard, batch
+        // 4: 200 LOW arrivals 5 µs apart outrun the cost model's 25 µs
+        // per job, and once the estimator is warm the backlog dooms
+        // 300 µs deadlines.
+        let cb = paper::table1_case_base();
+        let config = ServiceConfig::default()
+            .with_shards(1)
+            .with_batch_size(4)
+            .with_predictive_shed(true);
+        let driver = TraceDriver::new(&cb, &config, CostModel::default());
+        let trace: Vec<TraceArrival> = (0..200)
+            .map(|i| TraceArrival {
+                at_us: i * 5,
+                class: QosClass::Low,
+                deadline_us: Some(300),
+                request: paper::table1_request().unwrap(),
+            })
+            .collect();
+        let report = driver.run(&trace);
+        let predicted = report
+            .replies
+            .iter()
+            .filter(|r| matches!(r.outcome, Outcome::ShedPredicted { .. }))
+            .count() as u64;
+        assert!(predicted > 0, "a warm estimator sheds doomed LOW work");
+        assert_eq!(
+            report.metrics.class(QosClass::Low).shed_predicted,
+            predicted
+        );
+        let events = report
+            .trace
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::ShedPredicted)
+            .count() as u64;
+        assert_eq!(
+            events, predicted,
+            "one ShedPredicted event per predicted shed"
+        );
     }
 }

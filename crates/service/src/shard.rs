@@ -35,13 +35,12 @@ use std::time::Instant;
 use rqfa_core::{CaseBase, CaseMutation, CoreError, Generation, PlaneEngine, Retrieval, TypeId};
 use rqfa_fixed::Q15;
 use rqfa_persist::{DurableCaseBase, FileStore, PendingCheckpoint, PersistError, WrittenCheckpoint};
-use rqfa_telemetry::{clock::micros_between, monotonic, EventKind, FlightRecorder, SharedClock, TraceDump};
+use rqfa_telemetry::{clock::micros_between, EventKind, FlightRecorder, SharedClock, TraceDump};
 
 use crate::cache::{CacheLookup, RetrievalCache};
 use crate::error::ServiceError;
 use crate::metrics::{BatchDeltas, ServiceMetrics};
 use crate::queue::ClassQueue;
-use crate::sched::ServiceTimeEstimator;
 use crate::{Job, Outcome, Reply, ServiceConfig};
 
 /// Routes a function type to its owning shard — the service's placement
@@ -215,46 +214,21 @@ impl Shard {
         };
         let recorder = (config.trace_capacity > 0)
             .then(|| Arc::new(FlightRecorder::new(config.trace_capacity)));
-        // The measured service-time signal: the worker writes what each
-        // batch actually cost, the queue reads it to size DYNAMIC_PRIORITY
-        // urgency margins and stop deadline-breaking batch fill.
-        let estimator = Arc::new(ServiceTimeEstimator::new());
-        let queue = Arc::new(
-            ClassQueue::new(
-                config.queue_capacity,
-                config.arbiter(),
-                config.scheduling,
-                config.promotion_margin_us,
-                Arc::clone(&metrics),
-            )
-            .with_telemetry(Arc::clone(&config.clock), recorder.clone(), epoch)
-            .with_estimator(Arc::clone(&estimator))
-            .with_predictive_shed(config.predictive_shed),
+        let (queue, ctx) = assemble(
+            config,
+            Arc::clone(&metrics),
+            Arc::clone(&config.clock),
+            recorder.clone(),
+            epoch,
         );
+        let queue = Arc::new(queue);
         let store = Arc::new(Mutex::new(store));
         let worker_queue = Arc::clone(&queue);
         let worker_store = Arc::clone(&store);
         let batch_size = config.batch_size.max(1);
-        let cache = RetrievalCache::with_policy(
-            config.cache_capacity,
-            config.cache_policy,
-            config.cache_admission,
-        );
-        let ctx = WorkerContext::new(cache)
-            .with_kernel(config.kernel_path)
-            .with_telemetry(Arc::clone(&config.clock), recorder.clone(), epoch);
         let worker = std::thread::Builder::new()
             .name(format!("rqfa-shard-{index}"))
-            .spawn(move || {
-                run_worker(
-                    &worker_queue,
-                    &worker_store,
-                    &metrics,
-                    batch_size,
-                    ctx,
-                    &estimator,
-                );
-            })
+            .spawn(move || run_worker(&worker_queue, &worker_store, &metrics, batch_size, ctx))
             .expect("spawn shard worker");
         Shard {
             queue,
@@ -440,48 +414,49 @@ pub(crate) struct WorkerContext {
     deltas: BatchDeltas,
 }
 
-impl WorkerContext {
-    pub(crate) fn new(cache: RetrievalCache) -> WorkerContext {
-        let clock = monotonic();
-        let epoch = clock.now();
-        WorkerContext {
-            engine: PlaneEngine::new(),
-            cache,
-            results: Vec::new(),
-            seen: HashMap::new(),
-            followers: Vec::new(),
-            clock,
-            epoch,
-            recorder: None,
-            deltas: BatchDeltas::default(),
-        }
-    }
-
-    /// Pins the worker engine's kernel path (see
-    /// [`ServiceConfig::kernel_path`](crate::ServiceConfig::kernel_path)).
-    pub(crate) fn with_kernel(mut self, path: rqfa_core::KernelPath) -> WorkerContext {
-        self.engine = PlaneEngine::with_kernel(path);
-        self
-    }
-
-    /// Replaces the worker's time source and flight recorder.
-    pub(crate) fn with_telemetry(
-        mut self,
-        clock: SharedClock,
-        recorder: Option<Arc<FlightRecorder>>,
-        epoch: Instant,
-    ) -> WorkerContext {
-        self.clock = clock;
-        self.recorder = recorder;
-        self.epoch = epoch;
-        self
-    }
+/// Builds one shard's queue and worker context from `config`: the one
+/// assembly the live shard, the replay driver and the batch harness
+/// share. The time source, flight recorder and trace `epoch` are
+/// arguments rather than read from `config`, because the replay runs a
+/// private manual clock and one recorder shared by all its shards.
+pub(crate) fn assemble(
+    config: &ServiceConfig,
+    metrics: Arc<ServiceMetrics>,
+    clock: SharedClock,
+    recorder: Option<Arc<FlightRecorder>>,
+    epoch: Instant,
+) -> (ClassQueue, WorkerContext) {
+    let queue = ClassQueue::new(
+        config.queue_capacity,
+        config.arbiter(),
+        config.scheduling,
+        config.promotion_margin_us,
+        metrics,
+    )
+    .with_telemetry(Arc::clone(&clock), recorder.clone(), epoch)
+    .with_predictive_shed(config.predictive_shed);
+    let ctx = WorkerContext {
+        engine: PlaneEngine::with_kernel(config.kernel_path),
+        cache: RetrievalCache::with_policy(
+            config.cache_capacity,
+            config.cache_policy,
+            config.cache_admission,
+        ),
+        results: Vec::new(),
+        seen: HashMap::new(),
+        followers: Vec::new(),
+        clock,
+        epoch,
+        recorder,
+        deltas: BatchDeltas::default(),
+    };
+    (queue, ctx)
 }
 
 /// The worker loop: pop a batch, process it against the (locked) store,
 /// and feed the measured service time (store-lock wait included — it is
-/// part of what the next lane head will wait out) back to the
-/// scheduler's estimator. Under a frozen [`ManualClock`]
+/// part of what the next lane head will wait out) back to the queue's
+/// estimator. Under a frozen [`ManualClock`]
 /// (`rqfa_telemetry::ManualClock`) every measurement is 0, so the
 /// estimator stays cold and the scheduler keeps its configured margins —
 /// deterministic tests see the historical behaviour.
@@ -491,7 +466,6 @@ fn run_worker(
     metrics: &ServiceMetrics,
     batch_size: usize,
     mut ctx: WorkerContext,
-    estimator: &ServiceTimeEstimator,
 ) {
     while let Some(batch) = queue.pop_batch(batch_size) {
         if batch.is_empty() {
@@ -502,7 +476,9 @@ fn run_worker(
         let store = store.lock().expect("store poisoned");
         process_batch(batch, &store, metrics, &mut ctx);
         drop(store);
-        estimator.observe(micros_between(started, ctx.clock.now()), served);
+        queue
+            .estimator()
+            .observe(micros_between(started, ctx.clock.now()), served);
     }
 }
 
@@ -748,7 +724,6 @@ fn finish(
 pub struct BatchHarness {
     store: ShardStore,
     metrics: Arc<ServiceMetrics>,
-    recorder: Option<Arc<FlightRecorder>>,
     ctx: WorkerContext,
 }
 
@@ -759,24 +734,26 @@ impl BatchHarness {
     pub fn new(case_base: &CaseBase, config: &ServiceConfig) -> BatchHarness {
         let recorder = (config.trace_capacity > 0)
             .then(|| Arc::new(FlightRecorder::new(config.trace_capacity)));
-        let epoch = config.clock.now();
+        let metrics = Arc::new(ServiceMetrics::default());
+        // The caller composes every batch itself, so the shard's queue
+        // goes unused.
+        let (_, ctx) = assemble(
+            config,
+            Arc::clone(&metrics),
+            Arc::clone(&config.clock),
+            recorder,
+            config.clock.now(),
+        );
         BatchHarness {
             store: ShardStore::Ephemeral(case_base.clone()),
-            metrics: Arc::new(ServiceMetrics::default()),
-            recorder: recorder.clone(),
-            ctx: WorkerContext::new(RetrievalCache::with_policy(
-                config.cache_capacity,
-                config.cache_policy,
-                config.cache_admission,
-            ))
-            .with_kernel(config.kernel_path)
-            .with_telemetry(Arc::clone(&config.clock), recorder, epoch),
+            metrics,
+            ctx,
         }
     }
 
     /// Drains the harness's flight recorder (empty when tracing is off).
     pub fn drain_trace(&self) -> TraceDump {
-        match &self.recorder {
+        match &self.ctx.recorder {
             Some(recorder) => recorder.drain(),
             None => TraceDump::default(),
         }
