@@ -26,6 +26,7 @@ use std::time::Instant;
 
 use rqfa_telemetry::{
     micros_between, Counter, EventKind, FlightRecorder, MetricSource, Sample, SharedClock,
+    TraceSink,
 };
 
 /// Where the breaker's state machine currently sits.
@@ -63,13 +64,12 @@ struct BreakerInner {
 /// for the state machine.
 pub struct CircuitBreaker {
     clock: SharedClock,
-    epoch: Instant,
     threshold: u64,
     cooldown_us: u64,
     /// Which node this breaker guards — only used to label recorded
     /// events and metrics.
     node: u16,
-    recorder: Option<Arc<FlightRecorder>>,
+    trace: TraceSink,
     inner: Mutex<BreakerInner>,
     opens: Counter,
     fast_fails: Counter,
@@ -99,12 +99,11 @@ impl CircuitBreaker {
         assert!(cooldown_us > 0, "an open breaker must stay open a while");
         let now = clock.now();
         CircuitBreaker {
-            epoch: now,
             clock,
             threshold,
             cooldown_us,
             node,
-            recorder: None,
+            trace: TraceSink::default(),
             inner: Mutex::new(BreakerInner {
                 state: BreakerState::Closed,
                 consecutive_failures: 0,
@@ -118,7 +117,7 @@ impl CircuitBreaker {
     /// Records open/close transitions into `recorder`.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<FlightRecorder>) -> CircuitBreaker {
-        self.recorder = Some(recorder);
+        self.trace = TraceSink::to(recorder);
         self
     }
 
@@ -176,7 +175,8 @@ impl CircuitBreaker {
         inner.state = BreakerState::Closed;
         inner.consecutive_failures = 0;
         if was != BreakerState::Closed {
-            self.record(EventKind::BreakerClosed, 0);
+            let node = u64::from(self.node);
+            self.trace.record(&*self.clock, node, 0, EventKind::BreakerClosed, 0);
         }
     }
 
@@ -197,14 +197,8 @@ impl CircuitBreaker {
             inner.state = BreakerState::Open;
             inner.opened_at = self.clock.now();
             self.opens.incr();
-            self.record(EventKind::BreakerOpened, inner.consecutive_failures);
-        }
-    }
-
-    fn record(&self, kind: EventKind, arg: u64) {
-        if let Some(recorder) = &self.recorder {
-            let at_us = micros_between(self.epoch, self.clock.now());
-            recorder.record(at_us, u64::from(self.node), 0, kind, arg);
+            let (node, failures) = (u64::from(self.node), inner.consecutive_failures);
+            self.trace.record(&*self.clock, node, 0, EventKind::BreakerOpened, failures);
         }
     }
 }
@@ -292,6 +286,7 @@ mod tests {
     #[test]
     fn transitions_are_recorded_with_the_node_id() {
         let clock = Arc::new(ManualClock::new());
+        clock.advance_us(40); // stamps count from the clock's origin
         let recorder = Arc::new(FlightRecorder::new(16));
         let b = CircuitBreaker::new(Arc::clone(&clock) as SharedClock, 7, 2, 500)
             .with_recorder(Arc::clone(&recorder));
@@ -305,6 +300,8 @@ mod tests {
         assert_eq!(kinds, [EventKind::BreakerOpened, EventKind::BreakerClosed]);
         assert!(dump.events.iter().all(|e| e.request_id == 7));
         assert_eq!(dump.events[0].arg, 2, "the trip carries the failure run");
+        let stamps: Vec<u64> = dump.events.iter().map(|e| e.at_us).collect();
+        assert_eq!(stamps, [40, 540]);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!
 //! State transitions are recorded into an optional flight recorder
 //! (`EventKind::{NodeSuspected, NodeDown, NodeRecovered}`, keyed by the
-//! node id in the request-id field) and the detector registers as a
+//! node id in the request-id field, stamped in µs since the clock's
+//! origin), as are the supervisor's promotions
+//! ([`FailureDetector::note_promoted`]); the detector registers as a
 //! [`MetricSource`] publishing per-node liveness gauges.
 
 use std::collections::BTreeMap;
@@ -26,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use rqfa_telemetry::{
-    micros_between, EventKind, FlightRecorder, MetricSource, Sample, SharedClock,
+    micros_between, EventKind, FlightRecorder, MetricSource, Sample, SharedClock, TraceSink,
 };
 
 /// The detector's verdict on one node.
@@ -62,11 +64,9 @@ struct NodeHealth {
 /// Per-node lease bookkeeping (see the module docs for the contract).
 pub struct FailureDetector {
     clock: SharedClock,
-    /// Stamp origin for recorded events (the detector's birth instant).
-    epoch: Instant,
     lease_us: u64,
     down_misses: u64,
-    recorder: Option<Arc<FlightRecorder>>,
+    trace: TraceSink,
     nodes: Mutex<BTreeMap<u16, NodeHealth>>,
 }
 
@@ -91,11 +91,10 @@ impl FailureDetector {
         assert!(lease_us > 0, "a lease must cover a positive interval");
         assert!(down_misses > 0, "the down threshold must allow ≥ 1 miss");
         FailureDetector {
-            epoch: clock.now(),
             clock,
             lease_us,
             down_misses,
-            recorder: None,
+            trace: TraceSink::default(),
             nodes: Mutex::new(BTreeMap::new()),
         }
     }
@@ -105,8 +104,17 @@ impl FailureDetector {
     /// request-id field, arg = missed leases).
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<FlightRecorder>) -> FailureDetector {
-        self.recorder = Some(recorder);
+        self.trace = TraceSink::to(recorder);
         self
+    }
+
+    /// Records that `node`'s standby was promoted under cluster `epoch`
+    /// (`NodePromoted`, node id in the request-id field, arg = epoch), so
+    /// the liveness ring holds each failover next to the verdict that
+    /// caused it.
+    pub fn note_promoted(&self, node: u16, epoch: u64) {
+        let node = u64::from(node);
+        self.trace.record(&*self.clock, node, 0, EventKind::NodePromoted, epoch);
     }
 
     /// The lease period in µs.
@@ -145,7 +153,8 @@ impl FailureDetector {
         health.last_beat = now;
         health.verdict = Liveness::Healthy;
         if was != Liveness::Healthy {
-            self.record(node, EventKind::NodeRecovered, 0);
+            let node = u64::from(node);
+            self.trace.record(&*self.clock, node, 0, EventKind::NodeRecovered, 0);
         }
     }
 
@@ -182,16 +191,10 @@ impl FailureDetector {
                 Liveness::Suspect => EventKind::NodeSuspected,
                 Liveness::Down => EventKind::NodeDown,
             };
-            self.record(node, kind, misses);
+            let node = u64::from(node);
+            self.trace.record(&*self.clock, node, 0, kind, misses);
         }
         verdict
-    }
-
-    fn record(&self, node: u16, kind: EventKind, misses: u64) {
-        if let Some(recorder) = &self.recorder {
-            let at_us = micros_between(self.epoch, self.clock.now());
-            recorder.record(at_us, u64::from(node), 0, kind, misses);
-        }
     }
 }
 
@@ -268,6 +271,9 @@ mod tests {
     #[test]
     fn transitions_are_recorded_once_each() {
         let clock = Arc::new(ManualClock::new());
+        // Built after the clock has run: stamps still count from the
+        // clock's origin, not from the detector's birth.
+        clock.advance_us(100);
         let recorder = Arc::new(FlightRecorder::new(64));
         let det = FailureDetector::new(Arc::clone(&clock) as SharedClock, 1_000, 2)
             .with_recorder(Arc::clone(&recorder));
@@ -279,6 +285,7 @@ mod tests {
         clock.advance_us(1_000);
         assert_eq!(det.assess(4), Liveness::Down);
         det.beat(4);
+        det.note_promoted(4, 9);
         let dump = recorder.drain();
         let kinds: Vec<EventKind> = dump.events.iter().map(|e| e.kind).collect();
         assert_eq!(
@@ -286,10 +293,14 @@ mod tests {
             [
                 EventKind::NodeSuspected,
                 EventKind::NodeDown,
-                EventKind::NodeRecovered
+                EventKind::NodeRecovered,
+                EventKind::NodePromoted
             ]
         );
         assert!(dump.events.iter().all(|e| e.request_id == 4));
+        let stamps: Vec<u64> = dump.events.iter().map(|e| e.at_us).collect();
+        assert_eq!(stamps, [1_600, 2_600, 2_600, 2_600]);
+        assert_eq!(dump.events[3].arg, 9, "a promotion carries its epoch");
     }
 
     #[test]

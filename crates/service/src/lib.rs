@@ -84,8 +84,6 @@ use std::time::{Duration, Instant};
 
 use rqfa_core::{CaseBase, CaseMutation, CoreError, ImplVariant, QosClass, Request, Scored, TypeId};
 
-// The kernel-path knob is part of the service configuration surface.
-pub use rqfa_core::KernelPath;
 use rqfa_fixed::Q15;
 use rqfa_persist::{
     DurableCaseBase, FileStore, PersistError, PersistPolicy, RecoveryReport, Store, StoreSet,
@@ -193,12 +191,6 @@ pub struct ServiceConfig {
     /// queues — and burning remote retry budgets — while a node is
     /// down (see `docs/distribution.md`).
     pub predictive_shed: bool,
-    /// Kernel path of the per-shard plane engines:
-    /// [`KernelPath::Auto`] (default) runtime-detects the wide SIMD
-    /// kernel, [`KernelPath::ForceScalar`] pins the scalar loops. Either
-    /// way results are bit-identical; this is a performance/debugging
-    /// knob (the CI fallback lane forces scalar).
-    pub kernel_path: KernelPath,
 }
 
 impl Default for ServiceConfig {
@@ -220,7 +212,6 @@ impl Default for ServiceConfig {
             clock: monotonic(),
             trace_capacity: 0,
             predictive_shed: false,
-            kernel_path: KernelPath::default(),
         }
     }
 }
@@ -318,13 +309,6 @@ impl ServiceConfig {
     /// [`ServiceConfig::predictive_shed`]).
     pub fn with_predictive_shed(mut self, on: bool) -> ServiceConfig {
         self.predictive_shed = on;
-        self
-    }
-
-    /// Pins the plane-kernel path of every shard worker (see
-    /// [`ServiceConfig::kernel_path`]).
-    pub fn with_kernel_path(mut self, path: KernelPath) -> ServiceConfig {
-        self.kernel_path = path;
         self
     }
 
@@ -719,16 +703,10 @@ impl AllocationService {
     /// Spawns the workers over prepared shard stores.
     fn from_stores(stores: Vec<shard::ShardStore>, config: &ServiceConfig) -> AllocationService {
         let metrics = Arc::new(ServiceMetrics::default());
-        // Trace timestamps are µs offsets from this instant (the moment
-        // the service was built), so every shard's events share one
-        // timebase.
-        let epoch = config.clock.now();
         let shards = stores
             .into_iter()
             .enumerate()
-            .map(|(index, store)| {
-                shard::Shard::spawn(index, store, config, Arc::clone(&metrics), epoch)
-            })
+            .map(|(index, store)| shard::Shard::spawn(index, store, config, Arc::clone(&metrics)))
             .collect();
         AllocationService {
             shards,
@@ -987,15 +965,11 @@ impl AllocationService {
     /// Drains every shard's flight recorder into one merged dump
     /// (empty when tracing is off — see
     /// [`ServiceConfig::with_trace_capacity`]). Timestamps are µs since
-    /// the service was built, shared across shards; the drain is
+    /// the [`Clock::origin`] of [`ServiceConfig::clock`], so they join
+    /// with every other trace stamped from that clock; the drain is
     /// non-destructive and safe under live traffic.
     pub fn drain_trace(&self) -> TraceDump {
-        TraceDump::merge(
-            self.shards
-                .iter()
-                .filter_map(|shard| shard.recorder.as_ref())
-                .map(|recorder| recorder.drain()),
-        )
+        TraceDump::merge(self.shards.iter().map(|shard| shard.trace.drain()))
     }
 
     /// Registers this service's metric sources on `registry`: the

@@ -43,7 +43,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use rqfa_core::{QosClass, Request};
-use rqfa_telemetry::{clock::micros_between, monotonic, EventKind, FlightRecorder, SharedClock};
+use rqfa_telemetry::{clock::micros_between, monotonic, EventKind, SharedClock, TraceSink};
 
 use crate::metrics::ServiceMetrics;
 use crate::sched::{ArbiterMode, SchedMode, ServiceTimeEstimator, WeightedArbiter};
@@ -136,10 +136,9 @@ pub struct ClassQueue {
     /// Time source for urgency checks and trace timestamps — injected so
     /// the scheduler is drivable deterministically.
     clock: SharedClock,
-    /// Flight recorder for `Scheduled` events (`None` = tracing off).
-    recorder: Option<Arc<FlightRecorder>>,
-    /// Zero point of trace timestamps.
-    epoch: Instant,
+    /// Where admission and `Scheduled` events go (detached = tracing
+    /// off); stamped in µs since the clock's origin.
+    trace: TraceSink,
     /// Measured batch-service-time estimator, fed by the shard worker.
     /// While cold (never fed) it reports 0: fixed margins, no
     /// deadline-aware batch composition, no predictive shedding.
@@ -164,8 +163,6 @@ impl ClassQueue {
         promotion_margin_us: u64,
         metrics: Arc<ServiceMetrics>,
     ) -> ClassQueue {
-        let clock = monotonic();
-        let epoch = clock.now();
         ClassQueue {
             inner: Mutex::new(Inner {
                 lanes: Default::default(),
@@ -179,26 +176,19 @@ impl ClassQueue {
             mode,
             promotion_margin: Duration::from_micros(promotion_margin_us),
             metrics,
-            clock,
-            recorder: None,
-            epoch,
+            clock: monotonic(),
+            trace: TraceSink::default(),
             estimator: ServiceTimeEstimator::new(),
             predictive_shed: false,
         }
     }
 
-    /// Replaces the queue's time source and flight recorder. `epoch` is
-    /// the zero point trace timestamps are measured from (share one
-    /// epoch across a service so per-request timelines line up).
-    pub fn with_telemetry(
-        mut self,
-        clock: SharedClock,
-        recorder: Option<Arc<FlightRecorder>>,
-        epoch: Instant,
-    ) -> ClassQueue {
+    /// Replaces the queue's time source and trace sink. Stamps count
+    /// from the clock's origin, so queues sharing a clock share a time
+    /// base.
+    pub fn with_telemetry(mut self, clock: SharedClock, trace: TraceSink) -> ClassQueue {
         self.clock = clock;
-        self.recorder = recorder;
-        self.epoch = epoch;
+        self.trace = trace;
         self
     }
 
@@ -272,11 +262,10 @@ impl ClassQueue {
             .submitted
             .fetch_add(1, Ordering::Relaxed);
         let now = self.clock.now();
-        let at_us = micros_between(self.epoch, now);
+        let at_us = self.clock.us_at(now);
         let record = |request_id: u64, class: QosClass, kind: EventKind, arg: u64| {
-            if let Some(recorder) = &self.recorder {
-                recorder.record(at_us, request_id, class.index() as u8, kind, arg);
-            }
+            self.trace
+                .record_at(at_us, request_id, class.index() as u8, kind, arg);
         };
         record(id, class, EventKind::Submitted, 0);
         let (job, rx) = Job::new(id, class, request, now, deadline, budget_us);
@@ -402,7 +391,6 @@ impl ClassQueue {
             // long batch. A frozen manual clock returns the same instant
             // each read, so deterministic replays are unaffected.
             let now = self.clock.now();
-            let at_us = micros_between(self.epoch, now);
             if self.mode == SchedMode::Edf && per_job_us > 0 {
                 if let Some(tight) = tightest {
                     // Stop filling when the estimator says one more pick
@@ -435,15 +423,13 @@ impl ClassQueue {
             if pick.promoted {
                 class_metrics.promoted.fetch_add(1, Ordering::Relaxed);
             }
-            if let Some(recorder) = &self.recorder {
-                recorder.record(
-                    at_us,
-                    job.id,
-                    job.class.index() as u8,
-                    EventKind::Scheduled,
-                    u64::from(pick.promoted),
-                );
-            }
+            self.trace.record_at(
+                self.clock.us_at(now),
+                job.id,
+                job.class.index() as u8,
+                EventKind::Scheduled,
+                u64::from(pick.promoted),
+            );
             if self.mode == SchedMode::Edf {
                 if let Some(deadline) = job.deadline {
                     tightest = Some(tightest.map_or(deadline, |t| t.min(deadline)));
@@ -715,6 +701,10 @@ mod tests {
             let n = self.reads.fetch_add(1, Ordering::SeqCst);
             self.base + Duration::from_micros(self.step_us * n)
         }
+
+        fn origin(&self) -> Instant {
+            self.base
+        }
     }
 
     #[test]
@@ -727,8 +717,7 @@ mod tests {
             step_us: 10,
             reads: std::sync::atomic::AtomicU64::new(0),
         });
-        let epoch = clock.now();
-        let recorder = Arc::new(FlightRecorder::new(64));
+        let trace = TraceSink::with_capacity(64);
         let q = ClassQueue::new(
             64,
             WeightedArbiter::new(),
@@ -736,12 +725,12 @@ mod tests {
             0,
             Arc::new(ServiceMetrics::default()),
         )
-        .with_telemetry(Arc::clone(&clock), Some(Arc::clone(&recorder)), epoch);
+        .with_telemetry(Arc::clone(&clock), trace.clone());
         for id in 0..4 {
             push_ok(&q, job(id, QosClass::High));
         }
         assert_eq!(q.pop_batch(4).unwrap().len(), 4);
-        let stamps: Vec<u64> = recorder
+        let stamps: Vec<u64> = trace
             .drain()
             .events
             .iter()
@@ -772,7 +761,7 @@ mod tests {
             1_000,
             Arc::clone(&metrics),
         )
-        .with_telemetry(Arc::clone(&clock), None, base);
+        .with_telemetry(Arc::clone(&clock), TraceSink::default());
         push_ok(&q, deadline_job(0, QosClass::Low, base, 100));
         for id in 1..4 {
             push_ok(&q, job(id, QosClass::Critical));
@@ -791,7 +780,7 @@ mod tests {
             1_000,
             Arc::clone(&metrics2),
         )
-        .with_telemetry(Arc::clone(&clock), None, base);
+        .with_telemetry(Arc::clone(&clock), TraceSink::default());
         push_ok(&q2, deadline_job(10, QosClass::Low, clock.now(), 500));
         for id in 11..14 {
             push_ok(&q2, job(id, QosClass::Critical));
@@ -804,7 +793,7 @@ mod tests {
     /// An EDF queue on `clock` whose estimator has seen one batch of
     /// `batch_us` µs over `jobs` jobs (`jobs == 0` leaves it cold).
     fn estimated_queue(clock: &SharedClock, batch_us: u64, jobs: usize) -> ClassQueue {
-        let q = queue(64).with_telemetry(Arc::clone(clock), None, clock.now());
+        let q = queue(64).with_telemetry(Arc::clone(clock), TraceSink::default());
         q.estimator().observe(batch_us, jobs);
         q
     }

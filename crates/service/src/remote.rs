@@ -64,7 +64,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rqfa_core::placement::{NodeId, Placement, ShardSite};
 use rqfa_core::{CaseMutation, Generation, QosClass, Request};
@@ -73,7 +73,7 @@ use rqfa_net::{
     FrameConn, Heartbeat, Liveness, Message, MutateAck, NetError, NetStats, RetryPolicy, TailAck,
     WireOutcome, WireReply,
 };
-use rqfa_telemetry::{clock::micros_between, EventKind, FlightRecorder, SharedClock};
+use rqfa_telemetry::{monotonic, EventKind, FlightRecorder, SharedClock, TraceSink};
 
 use crate::{shard, AllocationService, Outcome, Reply, ServiceError};
 
@@ -144,11 +144,18 @@ pub fn outcome_from_wire(outcome: WireOutcome) -> Outcome {
 // Server side
 // ---------------------------------------------------------------------------
 
+/// Live connections one [`NodeServer`] serves at once. Each holds a
+/// thread, so a peer must not be able to open them without bound; a
+/// connection past the cap is closed at accept.
+const MAX_CONNECTIONS: usize = 64;
+
 /// Serves one [`AllocationService`] over TCP loopback: every accepted
 /// connection gets its own thread answering [`Message::Submit`] and
-/// [`Message::Mutate`] frames. [`NodeServer::shutdown`] stops accepting,
-/// closes every connection and joins all threads — the harness's "kill a
-/// node" switch.
+/// [`Message::Mutate`] frames, up to a fixed number of live connections
+/// (beyond it a new connection is closed at accept and the client's
+/// retry tries again). [`NodeServer::shutdown`] stops accepting, closes
+/// every connection and joins all threads — the harness's "kill a node"
+/// switch.
 pub struct NodeServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -199,11 +206,6 @@ impl NodeServer {
             }
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    let service = Arc::clone(&service);
-                    let flag = Arc::clone(&accept_flag);
-                    let fence = Arc::clone(&accept_fence);
-                    let handle =
-                        std::thread::spawn(move || serve_connection(&service, stream, &flag, &fence));
                     let mut threads = accept_threads
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -217,7 +219,15 @@ impl NodeServer {
                         let _ = thread.join(); // finished: returns at once
                     }
                     *threads = open;
-                    threads.push(handle);
+                    if threads.len() >= MAX_CONNECTIONS {
+                        continue; // dropping `stream` closes it; the peer retries
+                    }
+                    let service = Arc::clone(&service);
+                    let flag = Arc::clone(&accept_flag);
+                    let fence = Arc::clone(&accept_fence);
+                    threads.push(std::thread::spawn(move || {
+                        serve_connection(&service, stream, &flag, &fence);
+                    }));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(1));
@@ -391,12 +401,6 @@ fn serve_connection(
 // Client side
 // ---------------------------------------------------------------------------
 
-struct Tracer {
-    recorder: Arc<FlightRecorder>,
-    clock: SharedClock,
-    epoch: Instant,
-}
-
 /// The client of one remote node: a cached framed connection plus the
 /// retry loop that makes every call either answer or fail *boundedly*.
 ///
@@ -411,7 +415,10 @@ pub struct RemoteShard {
     policy: RetryPolicy,
     stats: Arc<NetStats>,
     conn: Mutex<Option<FrameConn<Box<dyn RemoteStream>>>>,
-    tracer: Option<Tracer>,
+    /// Where net-plane events go (detached = tracing off), stamped by
+    /// `clock`.
+    trace: TraceSink,
+    clock: SharedClock,
     /// Optional circuit breaker: when open, calls fail fast with
     /// attempt count 0 instead of burning the whole retry budget
     /// against a node that is known-dead (see [`CircuitBreaker`]).
@@ -426,7 +433,8 @@ impl RemoteShard {
             policy,
             stats: Arc::new(NetStats::new()),
             conn: Mutex::new(None),
-            tracer: None,
+            trace: TraceSink::default(),
+            clock: monotonic(),
             breaker: None,
         }
     }
@@ -444,19 +452,16 @@ impl RemoteShard {
     }
 
     /// Arms net-plane flight recording: every frame sent/received and
-    /// every retry/timeout lands in `recorder` stamped by `clock`
-    /// (timestamps are µs since this call).
+    /// every retry/timeout lands in `recorder` stamped by `clock` (µs
+    /// since the clock's origin, so a node served from the same clock
+    /// records on the same time base).
     pub fn with_recorder(
         mut self,
         recorder: Arc<FlightRecorder>,
         clock: SharedClock,
     ) -> RemoteShard {
-        let epoch = clock.now();
-        self.tracer = Some(Tracer {
-            recorder,
-            clock,
-            epoch,
-        });
+        self.trace = TraceSink::to(recorder);
+        self.clock = clock;
         self
     }
 
@@ -477,16 +482,6 @@ impl RemoteShard {
     /// This client's transport counters.
     pub fn stats(&self) -> Arc<NetStats> {
         Arc::clone(&self.stats)
-    }
-
-    fn record(&self, request_id: u64, class: QosClass, kind: EventKind, arg: u64) {
-        if let Some(tracer) = &self.tracer {
-            let at_us = micros_between(tracer.epoch, tracer.clock.now());
-            #[allow(clippy::cast_possible_truncation)]
-            tracer
-                .recorder
-                .record(at_us, request_id, class.index() as u8, kind, arg);
-        }
     }
 
     /// Submits over the wire; `Err(attempts)` when the node stayed
@@ -557,6 +552,19 @@ impl RemoteShard {
                 return Err(0);
             }
         }
+        let record = |kind: EventKind, arg: u64| {
+            let class = class.index() as u8;
+            self.trace.record(&*self.clock, trace_id, class, kind, arg);
+        };
+        // A frame event's `arg` is the payload size in words (frame
+        // minus 3 header and 2 trailer words).
+        let words = |bytes: usize| (bytes as u64 / 2).saturating_sub(5);
+        let note_failure = |attempt: u32, error: &NetError| {
+            if matches!(error, NetError::Timeout) {
+                self.stats.on_timeout();
+                record(EventKind::FrameTimedOut, u64::from(attempt + 1));
+            }
+        };
         let mut guard = self
             .conn
             .lock()
@@ -564,7 +572,7 @@ impl RemoteShard {
         for attempt in 0..self.policy.attempts {
             if attempt > 0 {
                 self.stats.on_retry();
-                self.record(trace_id, class, EventKind::FrameRetried, u64::from(attempt));
+                record(EventKind::FrameRetried, u64::from(attempt));
                 std::thread::sleep(self.policy.backoff(attempt));
             }
             let mut conn = match guard.take() {
@@ -577,17 +585,10 @@ impl RemoteShard {
             match conn.send(message) {
                 Ok(bytes) => {
                     self.stats.on_sent(bytes);
-                    // `arg` is the frame's payload size in words (frame
-                    // minus 3 header and 2 trailer words).
-                    self.record(
-                        trace_id,
-                        class,
-                        EventKind::FrameSent,
-                        (bytes as u64 / 2).saturating_sub(5),
-                    );
+                    record(EventKind::FrameSent, words(bytes));
                 }
                 Err(error) => {
-                    self.note_failure(trace_id, class, attempt, &error);
+                    note_failure(attempt, &error);
                     continue;
                 }
             }
@@ -595,12 +596,7 @@ impl RemoteShard {
                 match conn.recv() {
                     Ok((reply, bytes)) => {
                         self.stats.on_received(bytes);
-                        self.record(
-                            trace_id,
-                            class,
-                            EventKind::FrameReceived,
-                            (bytes as u64 / 2).saturating_sub(5),
-                        );
+                        record(EventKind::FrameReceived, words(bytes));
                         if let Some(value) = matcher(reply) {
                             *guard = Some(conn);
                             if let Some(breaker) = &self.breaker {
@@ -610,7 +606,7 @@ impl RemoteShard {
                         }
                     }
                     Err(error) => {
-                        self.note_failure(trace_id, class, attempt, &error);
+                        note_failure(attempt, &error);
                         break;
                     }
                 }
@@ -622,18 +618,6 @@ impl RemoteShard {
             breaker.on_failure();
         }
         Err(self.policy.attempts)
-    }
-
-    fn note_failure(&self, trace_id: u64, class: QosClass, attempt: u32, error: &NetError) {
-        if matches!(error, NetError::Timeout) {
-            self.stats.on_timeout();
-            self.record(
-                trace_id,
-                class,
-                EventKind::FrameTimedOut,
-                u64::from(attempt + 1),
-            );
-        }
     }
 }
 
@@ -891,13 +875,13 @@ pub enum SupervisorEvent {
 /// (or a production pacer) calls `tick` at its chosen cadence, and all
 /// lease arithmetic flows through the detector's injected
 /// [`rqfa_telemetry::Clock`] — which is what makes the chaos tests in
-/// `tests/distributed.rs` deterministic.
+/// `tests/distributed.rs` deterministic. Each promotion is recorded in
+/// the detector's ring ([`FailureDetector::note_promoted`]), next to the
+/// `NodeDown` verdict that caused it.
 pub struct Supervisor {
     client: Arc<ClusterClient>,
     detector: Arc<FailureDetector>,
     standbys: HashMap<NodeId, PromoteFn>,
-    recorder: Option<Arc<FlightRecorder>>,
-    clock: Option<(SharedClock, Instant)>,
 }
 
 impl Supervisor {
@@ -910,21 +894,7 @@ impl Supervisor {
             client,
             detector,
             standbys: HashMap::new(),
-            recorder: None,
-            clock: None,
         }
-    }
-
-    /// Arms flight recording: promotions land in `recorder` as
-    /// [`EventKind::NodePromoted`] stamped by `clock` (µs since this
-    /// call), with the node id in the request-id field and the new
-    /// epoch as the argument.
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: Arc<FlightRecorder>, clock: SharedClock) -> Supervisor {
-        let epoch = clock.now();
-        self.recorder = Some(recorder);
-        self.clock = Some((clock, epoch));
-        self
     }
 
     /// Registers `promote` as node `node`'s failover hook. One standby
@@ -983,15 +953,7 @@ impl Supervisor {
                 // lease so the next tick judges the replacement, not
                 // the corpse.
                 self.detector.beat(node_u16);
-                if let (Some(recorder), Some((clock, since))) = (&self.recorder, &self.clock) {
-                    recorder.record(
-                        micros_between(*since, clock.now()),
-                        u64::from(node_u16),
-                        0,
-                        EventKind::NodePromoted,
-                        epoch,
-                    );
-                }
+                self.detector.note_promoted(node_u16, epoch);
                 SupervisorEvent::Promoted { node, epoch }
             }
             Err(error) => {
@@ -1333,6 +1295,72 @@ mod tests {
             live.len()
         );
         drop(live);
+        server.shutdown();
+        if let Some(service) = Arc::into_inner(service) {
+            service.shutdown();
+        }
+    }
+
+    #[test]
+    fn live_connections_are_capped_at_accept() {
+        // Idle connections past the cap are closed at accept instead of
+        // each pinning a thread; once the idle ones go, a client is
+        // served again.
+        let service = Arc::new(
+            AllocationService::new(&paper::table1_case_base(), &crate::ServiceConfig::default())
+                .expect("valid service config"),
+        );
+        let server = NodeServer::spawn(Arc::clone(&service)).unwrap();
+        let tracked = || {
+            server
+                .conn_threads
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .len()
+        };
+        let probe = || {
+            let remote = RemoteShard::tcp(
+                server.addr(),
+                Duration::from_millis(500),
+                RetryPolicy::loopback(),
+            );
+            let submit = rqfa_net::Submit {
+                id: 0,
+                class: QosClass::High,
+                deadline_us: None,
+                request: paper::table1_request().unwrap(),
+            };
+            remote.call_submit(submit).is_ok()
+        };
+        let mut idle: Vec<std::net::TcpStream> = (0..MAX_CONNECTIONS + 8)
+            .map(|_| std::net::TcpStream::connect(server.addr()).unwrap())
+            .collect();
+        // The connections past the cap read end-of-stream: the server
+        // accepted and closed them.
+        for stream in &mut idle[MAX_CONNECTIONS..] {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut byte = [0u8; 1];
+            assert!(
+                matches!(stream.read(&mut byte), Ok(0) | Err(_)),
+                "a connection past the cap is closed"
+            );
+        }
+        assert_eq!(tracked(), MAX_CONNECTIONS, "threads stay at the cap");
+        assert!(!probe(), "a full node refuses a new client");
+        assert!(tracked() <= MAX_CONNECTIONS);
+
+        drop(idle);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !probe() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a client is served once the idle connections close"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert!(tracked() <= MAX_CONNECTIONS);
         server.shutdown();
         if let Some(service) = Arc::into_inner(service) {
             service.shutdown();

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rqfa_core::{CaseBase, QosClass, Request};
-use rqfa_telemetry::{FlightRecorder, ManualClock, SharedClock, TraceDump};
+use rqfa_telemetry::{ManualClock, SharedClock, TraceDump, TraceSink};
 
 use crate::metrics::ServiceMetrics;
 use crate::queue::ClassQueue;
@@ -137,9 +137,8 @@ impl TraceDriver {
     pub fn run(&self, arrivals: &[TraceArrival]) -> TraceReport {
         let clock = Arc::new(ManualClock::new());
         let shared: SharedClock = Arc::clone(&clock) as SharedClock;
-        let epoch = shared.now();
         let metrics = Arc::new(ServiceMetrics::default());
-        let recorder = Arc::new(FlightRecorder::new(self.config.trace_capacity));
+        let trace = TraceSink::with_capacity(self.config.trace_capacity);
 
         let mut shards: Vec<ReplayShard> = shard::partition(&self.case_base, self.config.shards)
             .into_iter()
@@ -148,8 +147,7 @@ impl TraceDriver {
                     &self.config,
                     Arc::clone(&metrics),
                     Arc::clone(&shared),
-                    Some(Arc::clone(&recorder)),
-                    epoch,
+                    trace.clone(),
                 );
                 ReplayShard {
                     queue,
@@ -234,7 +232,7 @@ impl TraceDriver {
         TraceReport {
             replies,
             metrics: metrics.snapshot(),
-            trace: recorder.drain(),
+            trace: trace.drain(),
         }
     }
 }

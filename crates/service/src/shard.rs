@@ -35,7 +35,7 @@ use std::time::Instant;
 use rqfa_core::{CaseBase, CaseMutation, CoreError, Generation, PlaneEngine, Retrieval, TypeId};
 use rqfa_fixed::Q15;
 use rqfa_persist::{DurableCaseBase, FileStore, PendingCheckpoint, PersistError, WrittenCheckpoint};
-use rqfa_telemetry::{clock::micros_between, EventKind, FlightRecorder, SharedClock, TraceDump};
+use rqfa_telemetry::{clock::micros_between, EventKind, SharedClock, TraceDump, TraceSink};
 
 use crate::cache::{CacheLookup, RetrievalCache};
 use crate::error::ServiceError;
@@ -119,15 +119,11 @@ impl ShardStore {
     }
 
     /// Applies a mutation, returning its inverse (durably for a durable
-    /// shard — the mutation is in the WAL before this returns `Ok`).
+    /// shard — the mutation is in the WAL before this returns `Ok`): the
+    /// one-element case of [`ShardStore::apply_batch`].
     pub(crate) fn apply(&mut self, mutation: &CaseMutation) -> Result<CaseMutation, ServiceError> {
-        match self {
-            ShardStore::Empty => Err(ServiceError::Core(CoreError::UnknownType {
-                type_id: mutation.type_id(),
-            })),
-            ShardStore::Ephemeral(cb) => cb.apply_mutation(mutation).map_err(ServiceError::Core),
-            ShardStore::Durable(durable) => durable.apply(mutation).map_err(ServiceError::from),
-        }
+        let mut inverses = self.apply_batch(std::slice::from_ref(mutation))?;
+        Ok(inverses.pop().expect("one mutation yields one inverse"))
     }
 
     /// Applies a whole batch of mutations, returning their inverses in
@@ -180,8 +176,8 @@ impl ShardStore {
 pub(crate) struct Shard {
     pub(crate) queue: Arc<ClassQueue>,
     pub(crate) store: Arc<Mutex<ShardStore>>,
-    /// This shard's flight recorder (`None` = tracing disabled).
-    pub(crate) recorder: Option<Arc<FlightRecorder>>,
+    /// This shard's flight recorder (detached = tracing disabled).
+    pub(crate) trace: TraceSink,
     /// Serializes checkpoints against each other (never against the
     /// store lock — retrievals keep flowing during checkpoint I/O).
     checkpoint_lock: Mutex<()>,
@@ -195,14 +191,12 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Spawns the shard worker over `store`. `epoch` is the service-wide
-    /// zero point of trace timestamps.
+    /// Spawns the shard worker over `store`.
     pub(crate) fn spawn(
         index: usize,
         store: ShardStore,
         config: &ServiceConfig,
         metrics: Arc<ServiceMetrics>,
-        epoch: Instant,
     ) -> Shard {
         // Only durable stores have anything to checkpoint; an ephemeral
         // shard with a live cadence would pointlessly re-take the store
@@ -212,14 +206,12 @@ impl Shard {
             ShardStore::Durable(_) => config.snapshot_every,
             _ => 0,
         };
-        let recorder = (config.trace_capacity > 0)
-            .then(|| Arc::new(FlightRecorder::new(config.trace_capacity)));
+        let trace = TraceSink::with_capacity(config.trace_capacity);
         let (queue, ctx) = assemble(
             config,
             Arc::clone(&metrics),
             Arc::clone(&config.clock),
-            recorder.clone(),
-            epoch,
+            trace.clone(),
         );
         let queue = Arc::new(queue);
         let store = Arc::new(Mutex::new(store));
@@ -233,7 +225,7 @@ impl Shard {
         Shard {
             queue,
             store,
-            recorder,
+            trace,
             checkpoint_lock: Mutex::new(()),
             since_checkpoint: AtomicU64::new(0),
             snapshot_every,
@@ -243,11 +235,11 @@ impl Shard {
     }
 
     /// Applies a mutation to this shard's store under its lock, returning
-    /// the inverse mutation, then runs the auto-checkpoint cadence.
+    /// the inverse mutation, then runs the auto-checkpoint cadence: the
+    /// one-element case of [`Shard::apply_batch`].
     pub(crate) fn apply(&self, mutation: &CaseMutation) -> Result<CaseMutation, ServiceError> {
-        let inverse = self.store.lock().expect("store poisoned").apply(mutation)?;
-        self.after_acknowledged(1);
-        Ok(inverse)
+        let mut inverses = self.apply_batch(std::slice::from_ref(mutation))?;
+        Ok(inverses.pop().expect("one mutation yields one inverse"))
     }
 
     /// Applies a batch (one group commit on a durable shard) and runs the
@@ -404,27 +396,24 @@ pub(crate) struct WorkerContext {
     seen: HashMap<u64, usize>,
     /// Coalesced within-batch duplicates: `(leader index, job)`.
     followers: Vec<(usize, Job)>,
-    /// Injected time source (stamps batches and latencies).
+    /// Injected time source (stamps batches, latencies and events).
     clock: SharedClock,
-    /// Zero point of trace timestamps.
-    epoch: Instant,
-    /// Flight recorder for pipeline events (`None` = tracing off).
-    recorder: Option<Arc<FlightRecorder>>,
+    /// Where pipeline events go (detached = tracing off).
+    trace: TraceSink,
     /// The current batch's outcome deltas, committed batch-atomically.
     deltas: BatchDeltas,
 }
 
 /// Builds one shard's queue and worker context from `config`: the one
 /// assembly the live shard, the replay driver and the batch harness
-/// share. The time source, flight recorder and trace `epoch` are
-/// arguments rather than read from `config`, because the replay runs a
-/// private manual clock and one recorder shared by all its shards.
+/// share. The time source and trace sink are arguments rather than read
+/// from `config`, because the replay runs a private manual clock and one
+/// recorder shared by all its shards.
 pub(crate) fn assemble(
     config: &ServiceConfig,
     metrics: Arc<ServiceMetrics>,
     clock: SharedClock,
-    recorder: Option<Arc<FlightRecorder>>,
-    epoch: Instant,
+    trace: TraceSink,
 ) -> (ClassQueue, WorkerContext) {
     let queue = ClassQueue::new(
         config.queue_capacity,
@@ -433,10 +422,10 @@ pub(crate) fn assemble(
         config.promotion_margin_us,
         metrics,
     )
-    .with_telemetry(Arc::clone(&clock), recorder.clone(), epoch)
+    .with_telemetry(Arc::clone(&clock), trace.clone())
     .with_predictive_shed(config.predictive_shed);
     let ctx = WorkerContext {
-        engine: PlaneEngine::with_kernel(config.kernel_path),
+        engine: PlaneEngine::new(),
         cache: RetrievalCache::with_policy(
             config.cache_capacity,
             config.cache_policy,
@@ -446,8 +435,7 @@ pub(crate) fn assemble(
         seen: HashMap::new(),
         followers: Vec::new(),
         clock,
-        epoch,
-        recorder,
+        trace,
         deltas: BatchDeltas::default(),
     };
     (queue, ctx)
@@ -482,21 +470,6 @@ fn run_worker(
     }
 }
 
-/// One batch's trace stamp: the recorder (if tracing) plus the batch
-/// timestamp every event of this batch carries.
-struct BatchTrace<'a> {
-    at_us: u64,
-    recorder: Option<&'a FlightRecorder>,
-}
-
-impl BatchTrace<'_> {
-    fn record(&self, job: &Job, kind: EventKind, arg: u64) {
-        if let Some(recorder) = self.recorder {
-            recorder.record(self.at_us, job.id, job.class.index() as u8, kind, arg);
-        }
-    }
-}
-
 /// Processes one dispatched batch: shed expired jobs, answer cache hits,
 /// **coalesce within-batch duplicates**, run the remaining *leaders*
 /// through the plane kernel's batch API, fan replies out, repeat.
@@ -523,9 +496,10 @@ pub(crate) fn process_batch(
     // checks and reply latencies all see the same `now`, which keeps a
     // manual-clock replay exactly reproducible.
     let now = ctx.clock.now();
-    let trace = BatchTrace {
-        at_us: micros_between(ctx.epoch, now),
-        recorder: ctx.recorder.as_deref(),
+    let at_us = ctx.clock.us_at(now);
+    let record = |job: &Job, kind: EventKind, arg: u64| {
+        ctx.trace
+            .record_at(at_us, job.id, job.class.index() as u8, kind, arg);
     };
     let generation = store.generation();
 
@@ -535,12 +509,12 @@ pub(crate) fn process_batch(
     let mut pending: Vec<(u64, Job)> = Vec::with_capacity(batch.len());
     ctx.seen.clear();
     for job in batch {
-        trace.record(&job, EventKind::Dispatched, 0);
+        record(&job, EventKind::Dispatched, 0);
         let waited_us = micros_between(job.enqueued_at, now);
         if let Some(deadline) = job.deadline {
             if job.class.sheddable() && now > deadline {
                 ctx.deltas.class(job.class).shed_deadline += 1;
-                trace.record(&job, EventKind::ShedDeadline, 0);
+                record(&job, EventKind::ShedDeadline, 0);
                 job.reply(Outcome::ShedDeadline, waited_us, metrics);
                 continue;
             }
@@ -554,8 +528,8 @@ pub(crate) fn process_batch(
         }
         match ctx.cache.lookup_outcome(fingerprint, generation) {
             CacheLookup::Hit(hit) => {
-                trace.record(&job, EventKind::CacheHit, 0);
-                finish(job, hit, true, now, &trace, &mut ctx.deltas, metrics);
+                record(&job, EventKind::CacheHit, 0);
+                finish(job, hit, true, now, &record, &mut ctx.deltas, metrics);
                 continue;
             }
             CacheLookup::Miss { stale } => {
@@ -563,9 +537,9 @@ pub(crate) fn process_batch(
                 deltas.cache_misses += 1;
                 if stale {
                     deltas.cache_stale += 1;
-                    trace.record(&job, EventKind::CacheStale, 0);
+                    record(&job, EventKind::CacheStale, 0);
                 } else {
-                    trace.record(&job, EventKind::CacheMiss, 0);
+                    record(&job, EventKind::CacheMiss, 0);
                 }
             }
         }
@@ -596,13 +570,13 @@ pub(crate) fn process_batch(
                 for (leader, job) in ctx.followers.drain(..) {
                     match &ctx.results[leader] {
                         Ok(retrieval) => {
-                            trace.record(&job, EventKind::CacheHit, 1);
+                            record(&job, EventKind::CacheHit, 1);
                             finish(
                                 job,
                                 retrieval.clone(),
                                 true,
                                 now,
-                                &trace,
+                                &record,
                                 &mut ctx.deltas,
                                 metrics,
                             );
@@ -615,7 +589,7 @@ pub(crate) fn process_batch(
                             let deltas = ctx.deltas.class(job.class);
                             deltas.cache_misses += 1;
                             deltas.failed += 1;
-                            trace.record(&job, EventKind::Failed, 0);
+                            record(&job, EventKind::Failed, 0);
                             let waited_us = micros_between(job.enqueued_at, now);
                             job.reply(Outcome::Failed(error.clone()), waited_us, metrics);
                         }
@@ -624,13 +598,13 @@ pub(crate) fn process_batch(
                 for ((fingerprint, job), result) in pending.into_iter().zip(ctx.results.drain(..)) {
                     match result {
                         Ok(retrieval) => {
-                            trace.record(&job, EventKind::Scored, retrieval.evaluated as u64);
+                            record(&job, EventKind::Scored, retrieval.evaluated as u64);
                             ctx.cache.insert(fingerprint, generation, &retrieval);
-                            finish(job, retrieval, false, now, &trace, &mut ctx.deltas, metrics);
+                            finish(job, retrieval, false, now, &record, &mut ctx.deltas, metrics);
                         }
                         Err(error) => {
                             ctx.deltas.class(job.class).failed += 1;
-                            trace.record(&job, EventKind::Failed, 0);
+                            record(&job, EventKind::Failed, 0);
                             let waited_us = micros_between(job.enqueued_at, now);
                             job.reply(Outcome::Failed(error), waited_us, metrics);
                         }
@@ -645,7 +619,7 @@ pub(crate) fn process_batch(
                         deltas.cache_misses += 1;
                     }
                     deltas.failed += 1;
-                    trace.record(&job, EventKind::Failed, 0);
+                    record(&job, EventKind::Failed, 0);
                     let type_id = job.request.type_id();
                     let waited_us = micros_between(job.enqueued_at, now);
                     job.reply(
@@ -677,7 +651,7 @@ fn finish(
     retrieval: rqfa_core::Retrieval<rqfa_fixed::Q15>,
     cached: bool,
     now: Instant,
-    trace: &BatchTrace<'_>,
+    record: &impl Fn(&Job, EventKind, u64),
     deltas: &mut BatchDeltas,
     metrics: &ServiceMetrics,
 ) {
@@ -694,7 +668,7 @@ fn finish(
             if cached {
                 deltas.class(class).cache_hits += 1;
             }
-            trace.record(&job, EventKind::Replied, u64::from(cached));
+            record(&job, EventKind::Replied, u64::from(cached));
             Outcome::Allocated {
                 best,
                 evaluated: retrieval.evaluated,
@@ -704,7 +678,7 @@ fn finish(
         // Unreachable for a validated case base; reported honestly anyway.
         None => {
             deltas.class(class).failed += 1;
-            trace.record(&job, EventKind::Failed, 0);
+            record(&job, EventKind::Failed, 0);
             Outcome::Failed(CoreError::UnknownType {
                 type_id: job.request.type_id(),
             })
@@ -732,8 +706,6 @@ impl BatchHarness {
     /// configured from `config` (capacity / policy / admission) and the
     /// clock / flight recorder taken from the same config.
     pub fn new(case_base: &CaseBase, config: &ServiceConfig) -> BatchHarness {
-        let recorder = (config.trace_capacity > 0)
-            .then(|| Arc::new(FlightRecorder::new(config.trace_capacity)));
         let metrics = Arc::new(ServiceMetrics::default());
         // The caller composes every batch itself, so the shard's queue
         // goes unused.
@@ -741,8 +713,7 @@ impl BatchHarness {
             config,
             Arc::clone(&metrics),
             Arc::clone(&config.clock),
-            recorder,
-            config.clock.now(),
+            TraceSink::with_capacity(config.trace_capacity),
         );
         BatchHarness {
             store: ShardStore::Ephemeral(case_base.clone()),
@@ -753,10 +724,7 @@ impl BatchHarness {
 
     /// Drains the harness's flight recorder (empty when tracing is off).
     pub fn drain_trace(&self) -> TraceDump {
-        match &self.ctx.recorder {
-            Some(recorder) => recorder.drain(),
-            None => TraceDump::default(),
-        }
+        self.ctx.trace.drain()
     }
 
     /// Processes `batch` exactly as one worker dispatch round would.

@@ -13,10 +13,18 @@
 //! existing `Instant`-typed field keep working unchanged whichever clock
 //! is plugged in. A `ManualClock` maps its counter onto real `Instant`
 //! space by offsetting a base instant captured at construction.
+//!
+//! Each clock also owns the **trace time base**: [`Clock::origin`] is the
+//! zero point every flight-recorder stamp counts from, so every
+//! component sharing a clock — shard workers, remote clients, the
+//! failure detector, a failover replacement built later — stamps one
+//! joined timeline. A `ManualClock`'s origin is its base instant; the
+//! [`MonotonicClock`]'s is one process-wide instant fixed at the first
+//! [`monotonic`] call.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A source of monotonic "now" instants.
@@ -27,23 +35,46 @@ use std::time::{Duration, Instant};
 pub trait Clock: Send + Sync + fmt::Debug {
     /// The current instant.
     fn now(&self) -> Instant;
+
+    /// The zero point of trace timestamps, fixed for the clock's life.
+    fn origin(&self) -> Instant;
+
+    /// Microseconds from [`Clock::origin`] to `at` (0 before it).
+    fn us_at(&self, at: Instant) -> u64 {
+        micros_between(self.origin(), at)
+    }
+
+    /// Microseconds since [`Clock::origin`] — the trace stamp of now.
+    fn now_us(&self) -> u64 {
+        self.us_at(self.now())
+    }
 }
 
 /// A shareable clock handle, as carried by service configuration.
 pub type SharedClock = Arc<dyn Clock>;
 
-/// The production clock: [`Instant::now`].
+/// The production clock: [`Instant::now`], with one process-wide
+/// origin.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MonotonicClock;
+
+/// The [`MonotonicClock`]'s origin, fixed by the first use.
+static MONOTONIC_ORIGIN: OnceLock<Instant> = OnceLock::new();
 
 impl Clock for MonotonicClock {
     fn now(&self) -> Instant {
         Instant::now()
     }
+
+    fn origin(&self) -> Instant {
+        *MONOTONIC_ORIGIN.get_or_init(Instant::now)
+    }
 }
 
-/// The default production clock as a [`SharedClock`].
+/// The default production clock as a [`SharedClock`]. The first call
+/// fixes the process-wide trace origin.
 pub fn monotonic() -> SharedClock {
+    MonotonicClock.origin();
     Arc::new(MonotonicClock)
 }
 
@@ -80,11 +111,6 @@ impl ManualClock {
     pub fn set_us(&self, us: u64) {
         self.offset_us.fetch_max(us, Ordering::SeqCst);
     }
-
-    /// Microseconds elapsed since construction (the current offset).
-    pub fn elapsed_us(&self) -> u64 {
-        self.offset_us.load(Ordering::SeqCst)
-    }
 }
 
 impl Default for ManualClock {
@@ -95,7 +121,11 @@ impl Default for ManualClock {
 
 impl Clock for ManualClock {
     fn now(&self) -> Instant {
-        self.base + Duration::from_micros(self.elapsed_us())
+        self.base + Duration::from_micros(self.offset_us.load(Ordering::SeqCst))
+    }
+
+    fn origin(&self) -> Instant {
+        self.base
     }
 }
 
@@ -124,10 +154,10 @@ mod tests {
         clock.advance_us(250);
         assert_eq!(micros_between(t0, clock.now()), 250);
         clock.set_us(1_000);
-        assert_eq!(clock.elapsed_us(), 1_000);
+        assert_eq!(clock.now_us(), 1_000);
         // Monotone: setting a past time is a no-op.
         clock.set_us(10);
-        assert_eq!(clock.elapsed_us(), 1_000);
+        assert_eq!(clock.now_us(), 1_000);
     }
 
     #[test]
@@ -137,6 +167,22 @@ mod tests {
         let before = shared.now();
         manual.advance_us(42);
         assert_eq!(micros_between(before, shared.now()), 42);
+    }
+
+    #[test]
+    fn stamps_count_from_the_clock_origin() {
+        let manual = ManualClock::new();
+        manual.advance_us(1_500);
+        assert_eq!(
+            manual.now_us(),
+            1_500,
+            "a manual clock's origin is offset 0"
+        );
+        assert_eq!(manual.us_at(manual.origin()), 0);
+        let a = MonotonicClock;
+        let b = monotonic();
+        assert_eq!(a.origin(), b.origin(), "one origin per process");
+        assert!(a.now_us() <= b.now_us());
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   scored → replied/shed) with zero allocation on the hot path. The
 //!   drain API reconstructs per-request timelines with a stage breakdown
 //!   — the primary debugging artifact for scheduling and displacement
-//!   bugs.
+//!   bugs. Components record through a [`TraceSink`], which stamps in µs
+//!   since the [`Clock::origin`], so rings fed from one clock join into
+//!   one timeline.
 //! * **Metrics registry** ([`registry`] + [`metrics`]): shared counter /
 //!   gauge / histogram primitives and a [`Registry`] that collects
 //!   prefixed [`Sample`]s from any [`MetricSource`] into one
@@ -44,5 +46,5 @@ pub use metrics::{ratio, Counter, Gauge, Histogram};
 pub use registry::{write_table, MetricSource, Registry, RegistrySnapshot, Sample};
 pub use trace::{
     arg_truncated, EventKind, FlightRecorder, RequestTimeline, StageBreakdown, TraceDump,
-    TraceEvent, ARG_BITS,
+    TraceEvent, TraceSink, ARG_BITS,
 };

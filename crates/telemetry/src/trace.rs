@@ -26,6 +26,9 @@
 //! approached.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use crate::clock::Clock;
 
 /// What happened to a request at one point of its life cycle.
 ///
@@ -171,7 +174,8 @@ impl EventKind {
 pub struct TraceEvent {
     /// Ring-global sequence number (drain order).
     pub seq: u64,
-    /// Clock offset when the event was recorded, µs.
+    /// When the event was recorded: µs since the recording clock's
+    /// [`Clock::origin`].
     pub at_us: u64,
     /// The request this event belongs to.
     pub request_id: u64,
@@ -314,6 +318,48 @@ impl FlightRecorder {
             events,
             dropped,
             total: head,
+        }
+    }
+}
+
+/// A component's optional attachment to a [`FlightRecorder`]: the one
+/// place that decides whether an event is recorded and how it is
+/// stamped. Detached (the default), recording costs one branch — no
+/// clock read, no store. Clones share the ring.
+#[derive(Debug, Clone, Default)]
+pub struct TraceSink(Option<Arc<FlightRecorder>>);
+
+impl TraceSink {
+    /// A sink attached to `ring`.
+    pub fn to(ring: Arc<FlightRecorder>) -> TraceSink {
+        TraceSink(Some(ring))
+    }
+
+    /// A sink attached to a fresh ring of `capacity` events, or a
+    /// detached one for `capacity == 0` (tracing off).
+    pub fn with_capacity(capacity: usize) -> TraceSink {
+        TraceSink((capacity > 0).then(|| Arc::new(FlightRecorder::new(capacity))))
+    }
+
+    /// The attached ring's contents; empty when detached.
+    pub fn drain(&self) -> TraceDump {
+        self.0.as_ref().map(|ring| ring.drain()).unwrap_or_default()
+    }
+
+    /// Records an event stamped now on `clock` (µs since its origin).
+    /// The clock is read only when a ring is attached.
+    pub fn record(&self, clock: &dyn Clock, request_id: u64, class: u8, kind: EventKind, arg: u64) {
+        if let Some(ring) = &self.0 {
+            ring.record(clock.now_us(), request_id, class, kind, arg);
+        }
+    }
+
+    /// Records an event at a stamp the caller already took — `at_us`
+    /// from [`Clock::us_at`] or [`Clock::now_us`] — so several events of
+    /// one instant (a dispatch batch, one admission) share one stamp.
+    pub fn record_at(&self, at_us: u64, request_id: u64, class: u8, kind: EventKind, arg: u64) {
+        if let Some(ring) = &self.0 {
+            ring.record(at_us, request_id, class, kind, arg);
         }
     }
 }
@@ -588,6 +634,26 @@ mod tests {
         let timelines = ring.drain().timelines();
         assert!(timelines[0].terminal().is_none());
         assert!(timelines[0].breakdown().is_none());
+    }
+
+    #[test]
+    fn sinks_stamp_from_the_clock_origin_only_when_attached() {
+        use crate::clock::ManualClock;
+        let clock = ManualClock::new();
+        clock.advance_us(70);
+        let off = TraceSink::with_capacity(0);
+        off.record(&clock, 1, 0, EventKind::Submitted, 0);
+        assert_eq!(off.drain().total, 0, "a detached sink records nothing");
+
+        let on = TraceSink::with_capacity(8);
+        let shared = on.clone();
+        on.record(&clock, 1, 2, EventKind::Submitted, 0);
+        clock.advance_us(5);
+        shared.record_at(clock.now_us(), 1, 2, EventKind::Replied, 1);
+        let dump = on.drain();
+        let stamps: Vec<u64> = dump.events.iter().map(|e| e.at_us).collect();
+        assert_eq!(stamps, [70, 75], "clones share one ring and one time base");
+        assert_eq!(dump.events[0].class, 2);
     }
 
     #[test]

@@ -52,7 +52,7 @@ use rqfa::service::remote::{
     RemoteStream, StreamFactory, Supervisor, SupervisorEvent,
 };
 use rqfa::service::{shard, AllocationService, Outcome, ServiceConfig, ServiceError};
-use rqfa::telemetry::{ManualClock, SharedClock};
+use rqfa::telemetry::{EventKind, FlightRecorder, ManualClock, SharedClock, TraceDump};
 use rqfa::workloads::{CaseGen, ChaosAction, ChaosPlan, MutationGen, RequestGen};
 
 const NODES: usize = 2;
@@ -608,6 +608,30 @@ fn chaos_policy() -> RetryPolicy {
 
 const CHAOS_TIMEOUT: Duration = Duration::from_millis(40);
 
+/// The `(node, epoch)` of every `NodePromoted` event in `dump`, after
+/// checking each one directly follows that node's `NodeDown`.
+fn promotions_in(dump: &TraceDump) -> Vec<(u64, u64)> {
+    let mut promotions = Vec::new();
+    for (i, event) in dump.events.iter().enumerate() {
+        if event.kind != EventKind::NodePromoted {
+            continue;
+        }
+        let down = dump.events[..i]
+            .iter()
+            .rev()
+            .find(|e| e.request_id == event.request_id && e.kind != EventKind::NodeRecovered)
+            .map(|e| (e.kind, e.at_us));
+        assert_eq!(
+            down,
+            Some((EventKind::NodeDown, event.at_us)),
+            "node {}: a promotion follows its down verdict on one time base",
+            event.request_id
+        );
+        promotions.push((event.request_id, event.arg));
+    }
+    promotions
+}
+
 #[test]
 fn supervisor_promotes_a_dead_leader_fenced_and_bit_identical() {
     let manual = Arc::new(ManualClock::new());
@@ -640,7 +664,11 @@ fn supervisor_promotes_a_dead_leader_fenced_and_bit_identical() {
     let oracle = AllocationService::new(&base, &oracle_config(&clock)).expect("oracle");
     let mut mutations = MutationGen::new(&base, 0x5EED);
 
-    let detector = Arc::new(FailureDetector::new(Arc::clone(&clock), LEASE_US, DOWN_MISSES));
+    let liveness = Arc::new(FlightRecorder::new(1 << 10));
+    let detector = Arc::new(
+        FailureDetector::new(Arc::clone(&clock), LEASE_US, DOWN_MISSES)
+            .with_recorder(Arc::clone(&liveness)),
+    );
     let mut supervisor = Supervisor::new(Arc::clone(&client), Arc::clone(&detector));
 
     // Phase 1: healthy traffic; a supervision round is all beats.
@@ -753,6 +781,10 @@ fn supervisor_promotes_a_dead_leader_fenced_and_bit_identical() {
         "the lease decayed: expected a promotion, got {events:?}"
     );
     assert_eq!(client.epoch(), 2);
+    // The promotion sits in the detector's ring, right after the
+    // verdict that caused it: node id in the request-id field, the new
+    // epoch as `arg`.
+    assert_eq!(promotions_in(&liveness.drain()), [(0, 2)]);
 
     // Fencing: the deposed leader's control plane still holds epoch 1.
     // Its mutation is refused by the promoted node *without touching
@@ -797,6 +829,11 @@ fn supervisor_promotes_a_dead_leader_fenced_and_bit_identical() {
     assert!(
         events.iter().all(|e| matches!(e, SupervisorEvent::Beat { .. })),
         "the healed cluster is all beats: {events:?}"
+    );
+    assert_eq!(
+        promotions_in(&liveness.drain()),
+        [(0, 2)],
+        "one promotion, one NodePromoted"
     );
 
     server1.shutdown();
@@ -853,7 +890,11 @@ fn seeded_chaos_promotes_every_kill_and_never_a_live_node() {
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .push(Some(server));
         }
-        let detector = Arc::new(FailureDetector::new(Arc::clone(&clock), LEASE_US, DOWN_MISSES));
+        let liveness = Arc::new(FlightRecorder::new(1 << 12));
+        let detector = Arc::new(
+            FailureDetector::new(Arc::clone(&clock), LEASE_US, DOWN_MISSES)
+                .with_recorder(Arc::clone(&liveness)),
+        );
         let mut supervisor = Supervisor::new(Arc::clone(&client), Arc::clone(&detector));
         // Pre-register every node so a tick-0 kill still ages a lease.
         for n in 0..NODES {
@@ -881,7 +922,7 @@ fn seeded_chaos_promotes_every_kill_and_never_a_live_node() {
         }
 
         let mut dead = [false; NODES];
-        let mut promotions = 0usize;
+        let mut promotions: Vec<(u64, u64)> = Vec::new();
         for tick in 0..plan.ticks() {
             // Disturbances land before the supervision round…
             let mut flapped: Vec<usize> = Vec::new();
@@ -914,12 +955,12 @@ fn seeded_chaos_promotes_every_kill_and_never_a_live_node() {
             for event in supervisor.tick() {
                 match event {
                     SupervisorEvent::Beat { .. } => {}
-                    SupervisorEvent::Promoted { node, .. } => {
+                    SupervisorEvent::Promoted { node, epoch } => {
                         assert!(
                             dead[usize::from(node.raw())],
                             "seed {seed:#x} tick {tick}: promoted a provably-live node"
                         );
-                        promotions += 1;
+                        promotions.push((u64::from(node.raw()), epoch));
                     }
                     SupervisorEvent::PromotionFailed { node, error } => {
                         panic!("seed {seed:#x} tick {tick}: promotion of {node} failed: {error}")
@@ -952,9 +993,16 @@ fn seeded_chaos_promotes_every_kill_and_never_a_live_node() {
             manual.advance_us(LEASE_US);
         }
         assert_eq!(
-            promotions,
+            promotions.len(),
             plan.kills(),
             "seed {seed:#x}: every kill promotes exactly once, nothing else ever does"
+        );
+        let dump = liveness.drain();
+        assert_eq!(dump.dropped, 0, "seed {seed:#x}: the ring keeps every event");
+        assert_eq!(
+            promotions_in(&dump),
+            promotions,
+            "seed {seed:#x}: one NodePromoted per promotion, carrying its epoch"
         );
         for slot in servers
             .lock()

@@ -14,6 +14,11 @@
 //! 4. **The registry unifies heterogeneous sources** — service metrics
 //!    and a finished rsoc simulation's counters land in one prefixed
 //!    snapshot.
+//! 5. **Net-plane events keep timelines telescoping** — frame events
+//!    merged into a node's timelines leave every stage sum intact.
+//! 6. **Cross-node timelines join** — a node and the client of it built
+//!    later on the same clock stamp from one origin, so every merged
+//!    timeline orders `FrameSent ≤ Submitted ≤ Replied ≤ FrameReceived`.
 
 use std::sync::Arc;
 
@@ -322,5 +327,86 @@ fn net_plane_events_keep_timelines_telescoping() {
             .any(|e| matches!(e.kind, EventKind::FrameRetried | EventKind::FrameTimedOut)),
         "clean transport shows no retry/timeout events"
     );
+    server.shutdown();
+}
+
+/// 6. Stamps count from the clock's origin, not from each component's
+///    birth: a node built at µs 0 and a client of it wired 1 ms later on
+///    the same clock record one joined timeline per request.
+#[test]
+fn cross_node_timelines_share_the_clock_origin() {
+    use rqfa::core::placement::{NodeId, NodeMap};
+    use rqfa::net::RetryPolicy;
+    use rqfa::service::remote::{ClusterClient, NodeServer, RemoteShard};
+    use rqfa::telemetry::{EventKind, FlightRecorder, TraceDump};
+    use std::time::Duration;
+
+    let manual = Arc::new(ManualClock::new());
+    let clock: SharedClock = Arc::clone(&manual) as SharedClock;
+    let case_base = CaseGen::new(6, 5, 4, 6).seed(0x0B64).build();
+    let service = Arc::new(
+        AllocationService::new(
+            &case_base,
+            &ServiceConfig::default()
+                .with_shards(1)
+                .with_trace_capacity(1 << 12)
+                .with_clock(Arc::clone(&clock)),
+        )
+        .expect("valid service config"),
+    );
+    let server = NodeServer::spawn(Arc::clone(&service)).expect("loopback bind");
+    manual.advance_us(1_000);
+    let recorder = Arc::new(FlightRecorder::new(1 << 12));
+    let remote = RemoteShard::tcp(
+        server.addr(),
+        Duration::from_millis(500),
+        RetryPolicy::loopback(),
+    )
+    .with_recorder(Arc::clone(&recorder), Arc::clone(&clock));
+    let client = ClusterClient::new(Box::new(NodeMap::new(vec![Some(NodeId::new(0))])), None);
+    client.set_node(NodeId::new(0), remote);
+
+    // Sequential submits, the clock stepping between them: each
+    // request's events carry its own instant on both sides of the wire.
+    let requests = RequestGen::new(&case_base).seed(0x0B65).count(20).generate();
+    for request in requests {
+        let reply = client.submit(request, QosClass::High);
+        assert!(
+            matches!(reply.outcome, rqfa::service::Outcome::Allocated { .. }),
+            "request {}: {:?}",
+            reply.id,
+            reply.outcome
+        );
+        manual.advance_us(10);
+    }
+
+    let merged = TraceDump::merge([service.drain_trace(), recorder.drain()]);
+    assert_eq!(merged.dropped, 0, "rings sized to keep every event");
+    let timelines = merged.timelines();
+    assert_eq!(timelines.len(), 20);
+    for timeline in &timelines {
+        let at = |kind| {
+            timeline
+                .at(kind)
+                .unwrap_or_else(|| panic!("request {}: no {kind:?}", timeline.request_id))
+        };
+        let ladder = [
+            at(EventKind::FrameSent),
+            at(EventKind::Submitted),
+            at(EventKind::Replied),
+            at(EventKind::FrameReceived),
+        ];
+        assert!(
+            ladder.windows(2).all(|pair| pair[0] <= pair[1]),
+            "request {}: FrameSent ≤ Submitted ≤ Replied ≤ FrameReceived, got {ladder:?}",
+            timeline.request_id
+        );
+        assert_eq!(
+            ladder[0],
+            1_000 + 10 * timeline.request_id,
+            "request {}: stamped at its own instant since the clock's origin",
+            timeline.request_id
+        );
+    }
     server.shutdown();
 }

@@ -115,20 +115,37 @@ fn steady_state_plane_retrieval_allocates_nothing() {
     // Measured window: the telemetry hot path. Enabling tracing must not
     // put an allocation on the request path: recording an event (ring
     // slot overwrite, including wraparound — the ring holds 1024 and the
-    // window writes 4096) and reading an injectable clock are both free.
-    let recorder = rqfa::telemetry::FlightRecorder::new(1024);
-    let clock = rqfa::telemetry::ManualClock::new();
-    recorder.record(0, 0, 0, rqfa::telemetry::EventKind::Submitted, 0);
+    // window writes 4 × 4096), stamping through a trace sink (attached or
+    // detached) and reading an injectable clock are all free.
+    use rqfa::telemetry::{
+        Clock, EventKind, FlightRecorder, ManualClock, MonotonicClock, TraceSink,
+    };
+    let recorder = std::sync::Arc::new(FlightRecorder::new(1024));
+    let sink = TraceSink::to(std::sync::Arc::clone(&recorder));
+    let detached = TraceSink::default();
+    let clock = ManualClock::new();
+    recorder.record(0, 0, 0, EventKind::Submitted, 0);
+    sink.record(&MonotonicClock, 0, 0, EventKind::Submitted, 0);
     let before = allocations();
     for i in 0..4096u64 {
         clock.advance_us(1);
-        let at_us = std::hint::black_box(clock.elapsed_us());
-        recorder.record(at_us, i, (i % 4) as u8, rqfa::telemetry::EventKind::Dispatched, 0);
+        let class = (i % 4) as u8;
+        let at_us = std::hint::black_box(clock.now_us());
+        recorder.record(at_us, i, class, EventKind::Dispatched, 0);
+        sink.record(&clock, i, class, EventKind::Scheduled, 0);
+        sink.record_at(clock.us_at(clock.now()), i, class, EventKind::Replied, 0);
+        sink.record(&MonotonicClock, i, class, EventKind::FrameSent, 0);
+        detached.record(&clock, i, class, EventKind::Submitted, 0);
     }
     assert_eq!(
         allocations(),
         before,
-        "flight-recorder record + manual clock must not allocate"
+        "flight-recorder record, trace-sink stamping + clocks must not allocate"
+    );
+    assert_eq!(
+        recorder.recorded(),
+        2 + 4 * 4096,
+        "the detached sink recorded nothing"
     );
 
     // Contrast: the naive engine allocates on every request (this is the
